@@ -106,8 +106,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _budget(args):
-    return args.budget_nodes if getattr(args, "budget_nodes", None) \
-        else _default_budget()
+    budget = getattr(args, "budget_nodes", None)
+    if budget is None:
+        budget = _default_budget()
+    if budget is not None and budget < 0:
+        raise ValueError(f"node budget must be >= 0, got {budget}")
+    return budget
 
 
 def _emit_colouring(col, sig, args, stream):
@@ -147,7 +151,13 @@ def cmd_construct(args, out):
 def cmd_verify(args, out):
     sig = Signature(args.s, args.n)
     with open(args.infile) as fh:
-        col = EdgeColouring.from_json(fh.read())
+        text = fh.read()
+    col = EdgeColouring.from_json(text)
+    declared = json.loads(text).get("signature")
+    expected = {"s": sorted(sig.s_set), "n": sig.n}
+    if declared is not None and declared != expected:
+        raise ValueError(
+            f"file signature {declared} differs from --s/--n {expected}")
     report = verify(col, sig, args.level)
     out.write(report.summary() + "\n")
     return EXIT_OK if report.passed else EXIT_VERIFY_FAILED
@@ -155,7 +165,9 @@ def cmd_verify(args, out):
 
 def cmd_search(args, out):
     sig = Signature(args.s, args.n)
-    m_range = (2, args.max_m) if args.max_m else None
+    if args.max_m is not None and args.max_m < 2:
+        raise ValueError(f"--max-m must be >= 2, got {args.max_m}")
+    m_range = (2, args.max_m) if args.max_m is not None else None
     outcome = search(sig, args.level, m_range=m_range,
                      node_budget=_budget(args))
     for line in outcome.transcript_lines():

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from itertools import combinations
 
-MAX_WITNESSES = 16
+from .algebra import MAX_WITNESSES
 
 
 class Level(Enum):
@@ -44,6 +44,11 @@ def edge_index(i: int, j: int) -> int:
 def edge_list(m: int) -> list[tuple[int, int]]:
     """All edges of K_m in enumeration order."""
     return [(i, j) for j in range(m) for i in range(j)]
+
+
+def _require_int(value, what: str) -> None:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -97,16 +102,31 @@ class EdgeColouring:
 
     @classmethod
     def from_json(cls, text: str) -> "EdgeColouring":
+        """Parse the JSON form; malformed input raises ValueError."""
         doc = json.loads(text)
-        m = doc["vertices"]
-        n = doc.get("colours") or doc["signature"]["n"]
-        cols = [0] * (m * (m - 1) // 2)
-        seen = 0
-        for i, j, c in doc["edges"]:
-            cols[edge_index(i, j)] = c
-            seen += 1
-        if seen != len(cols):
+        try:
+            m, edges = doc["vertices"], doc["edges"]
+            n = doc.get("colours") or doc["signature"]["n"]
+        except (KeyError, TypeError, AttributeError):
+            raise ValueError("colouring JSON needs 'vertices', 'edges' and "
+                             "'colours' or 'signature.n'") from None
+        _require_int(m, "vertex count")
+        _require_int(n, "colour count")
+        if not isinstance(edges, list) or len(edges) != m * (m - 1) // 2:
             raise ValueError("edge list does not cover K_m")
+        cols = [None] * len(edges)
+        for edge in edges:
+            if not isinstance(edge, list) or len(edge) != 3:
+                raise ValueError(f"edge {edge!r} is not [i, j, colour]")
+            i, j, c = edge
+            for value in edge:
+                _require_int(value, f"edge {edge!r} entry")
+            if not (0 <= i < m and 0 <= j < m and i != j):
+                raise ValueError(f"edge {edge!r} needs two distinct vertices "
+                                 f"in 0..{m - 1}")
+            if cols[edge_index(i, j)] is not None:
+                raise ValueError(f"edge {i},{j} is listed twice")
+            cols[edge_index(i, j)] = c
         return cls(m, n, tuple(cols))
 
     def to_dot(self) -> str:

@@ -8,13 +8,11 @@ either a verified colouring, a ``NotConstructible`` verdict, or
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from .algebra import Signature
 from .colouring import EdgeColouring, Level, edge_list, verify
-from .geometry import (affine_plane, affine_plane_order4,
-                       colouring_from_parallelism, drop_points, is_prime,
-                       near_pencil)
+from .geometry import (affine_plane, colouring_from_parallelism, drop_points,
+                       near_pencil, prime_power)
 from .quasigroup import lambda2, standard_qn
 
 
@@ -29,12 +27,6 @@ class NotConstructible:
 @dataclass(frozen=True)
 class DelegatedToSearch:
     reason: str
-
-
-@dataclass(frozen=True)
-class ConstructionRequest:
-    sig: Signature
-    level: Level
 
 
 def wrap_colour(n: int, x: int) -> int:
@@ -123,23 +115,20 @@ def _disjoint_triangle_filler(sig: Signature) -> EdgeColouring:
 
 
 def _lyndon_qualitative(n: int) -> EdgeColouring:
-    """Qualitative Lyndon representation: delete points from the affine
-    plane over the least admissible prime.
+    """Qualitative Lyndon representation: delete k = n - q - 1 points from
+    the affine plane over the least admissible prime power q.
 
-    Five colours are the one case the deletion construction cannot reach:
-    the only admissible prime is 3, and deleting a point from the order-3
-    plane leaves a pencil of 2-point lines with no monochromatic triangle.
-    The order-4 plane covers that gap directly.
+    Deletion leaves q + k + 1 parallel classes, and q + 1 <= n <= 2q - 1
+    keeps k <= q - 2.  Deleting from the order-3 plane leaves a pencil of
+    2-point lines with no monochromatic triangle, so k >= 1 needs q >= 4.
     """
-    if n == 5:
-        return colouring_from_parallelism(*affine_plane_order4())
-    primes = [p for p in range((n + 2) // 2, n) if is_prime(p)]
-    if not primes:
+    orders = [q for q in range((n + 2) // 2, n)
+              if prime_power(q) and (q == n - 1 or q >= 4)]
+    if not orders:
         raise RuntimeError(
-            f"no prime p with p + 1 <= {n} <= 2p - 1; unreachable for n >= 4")
-    p = primes[0]
-    k = n - p - 1
-    geometry = drop_points(affine_plane(p), range(k))
+            f"no admissible prime power for {n} colours; unreachable for n >= 4")
+    q = orders[0]
+    geometry = drop_points(affine_plane(q), range(n - q - 1))
     return colouring_from_parallelism(*geometry)
 
 
@@ -208,10 +197,8 @@ def _dispatch(sig: Signature, level: Level):
 
     if s == frozenset({1, 3}):
         if level is Level.STRONG:
-            if n >= 4 and is_prime(n - 1):
+            if n >= 4 and prime_power(n - 1):
                 return colouring_from_parallelism(*affine_plane(n - 1))
-            if n == 5:
-                return colouring_from_parallelism(*affine_plane_order4())
             if n == 3:
                 return DelegatedToSearch(
                     "no strong construction below four colours; search "

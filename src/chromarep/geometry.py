@@ -12,10 +12,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from itertools import combinations
+from math import isqrt
 
+from .algebra import MAX_WITNESSES
 from .colouring import EdgeColouring
-
-MAX_WITNESSES = 16
 
 
 @dataclass(frozen=True)
@@ -175,69 +175,78 @@ def near_pencil(n: int):
     return LinearSpace(n, tuple(lines)), pw
 
 
-def is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
+def prime_power(q: int):
+    """(p, k) with q = p**k and p prime, or None when q is no prime power."""
+    if q < 2:
+        return None
+    p = next((d for d in range(2, isqrt(q) + 1) if q % d == 0), q)
+    k = 0
+    while q % p == 0:
+        q //= p
+        k += 1
+    return (p, k) if q == 1 else None
 
 
-def affine_plane(p: int):
-    """The affine plane AG(2, p) over the prime field Z_p.
+def _field_tables(q: int):
+    """Addition and multiplication tables of GF(q), q = p**k.
 
-    Points are pairs (x, y) encoded as p*x + y.  Lines y = s*x + b come
+    Element a is the polynomial whose coefficients are the base-p digits of
+    a.  Products are reduced by the first monic degree-k modulus (lower
+    coefficients counted up in base p) that leaves no zero divisors.
+    """
+    pk = prime_power(q)
+    if pk is None:
+        raise ValueError(f"{q} is not a prime power")
+    p, k = pk
+
+    def digits(a):
+        return [a // p ** i % p for i in range(k)]
+
+    def number(coeffs):
+        return sum(c % p * p ** i for i, c in enumerate(coeffs))
+
+    def times(a, b, modulus):
+        prod = [0] * (2 * k - 1)
+        for i, x in enumerate(digits(a)):
+            for j, y in enumerate(digits(b)):
+                prod[i + j] += x * y
+        for top in range(2 * k - 2, k - 1, -1):  # x^k = -(modulus - x^k)
+            for i, c in enumerate(modulus):
+                prod[top - k + i] -= prod[top] * c
+        return number(prod[:k])
+
+    add = tuple(tuple(number(x + y for x, y in zip(digits(a), digits(b)))
+                      for b in range(q)) for a in range(q))
+    for low in range(q):
+        mul = tuple(tuple(times(a, b, digits(low)) for b in range(q))
+                    for a in range(q))
+        if all(mul[a][b] for a in range(1, q) for b in range(1, q)):
+            return add, mul
+    raise AssertionError(f"no irreducible modulus of degree {k} over Z_{p}")
+
+
+def affine_plane(q: int):
+    """The affine plane AG(2, q) over the field GF(q), q a prime power.
+
+    Points are pairs (x, y) encoded as q*x + y.  Lines y = s*x + b come
     first, grouped by slope s, then the verticals x = c; the parallelism
     has one block per slope and one for the verticals.
     """
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    add, mul = _field_tables(q)
     lines = []
     blocks = []
-    for s in range(p):
+    for s in range(q):
         block = []
-        for b in range(p):
+        for b in range(q):
             block.append(len(lines))
-            lines.append(frozenset(p * x + (s * x + b) % p for x in range(p)))
+            lines.append(frozenset(q * x + add[mul[s][x]][b] for x in range(q)))
         blocks.append(tuple(block))
     block = []
-    for c in range(p):
+    for c in range(q):
         block.append(len(lines))
-        lines.append(frozenset(p * c + y for y in range(p)))
+        lines.append(frozenset(q * c + y for y in range(q)))
     blocks.append(tuple(block))
-    return LinearSpace(p * p, tuple(lines)), Parallelism(tuple(blocks))
-
-
-def affine_plane_order4():
-    """The affine plane AG(2, 4) over the four-element field.
-
-    The point-deletion construction cannot reach a 6-block parallelism from
-    a prime-order plane (deleting from the order-3 plane leaves only
-    2-point lines in the new pencil), so the order-4 plane is provided
-    explicitly.  GF(4) addition is bitwise xor on {0,1,2,3}; the
-    multiplication table is hard-coded.
-    """
-    mul = ((0, 0, 0, 0),
-           (0, 1, 2, 3),
-           (0, 2, 3, 1),
-           (0, 3, 1, 2))
-    lines = []
-    blocks = []
-    for s in range(4):
-        block = []
-        for b in range(4):
-            block.append(len(lines))
-            lines.append(frozenset(4 * x + (mul[s][x] ^ b) for x in range(4)))
-        blocks.append(tuple(block))
-    block = []
-    for c in range(4):
-        block.append(len(lines))
-        lines.append(frozenset(4 * c + y for y in range(4)))
-    blocks.append(tuple(block))
-    return LinearSpace(16, tuple(lines)), Parallelism(tuple(blocks))
+    return LinearSpace(q * q, tuple(lines)), Parallelism(tuple(blocks))
 
 
 def drop_points(plane, dropped):
@@ -245,8 +254,8 @@ def drop_points(plane, dropped):
 
     Lines through exactly one deleted point form a new pencil direction for
     that point; all other lines keep their old direction.  For a plane of
-    order q and k = |dropped| <= q - 2 the result has q + k + 1 blocks and
-    satisfies all five axioms.
+    order q and k = |dropped| <= q - 2 the result has q + k + 1 blocks; the
+    new pencils' lines keep q - 1 points, so for k >= 1 LS4 needs q >= 4.
     """
     sp, pw = plane
     dropped = list(dropped)

@@ -60,6 +60,21 @@ def test_verify_pass_and_fail(tmp_path):
     assert code == 2 and "FAIL" in out
 
 
+def test_verify_rejects_malformed_and_mismatched_files(tmp_path):
+    target = tmp_path / "w.json"
+    run_cli("construct", "--s", "2,3", "--n", "3", "--level", "qualitative",
+            "--out", str(target))
+    code, out = run_cli("verify", "--s", "1,3", "--n", "3",
+                        "--level", "qualitative", "--in", str(target))
+    assert code == 1 and "differs from --s/--n" in out
+    doc = json.loads(target.read_text())
+    doc["edges"][0][1] = 99
+    target.write_text(json.dumps(doc))
+    code, out = run_cli("verify", "--s", "2,3", "--n", "3",
+                        "--level", "qualitative", "--in", str(target))
+    assert code == 1 and out.startswith("error:")
+
+
 def test_search_certified_nonexistent():
     code, out = run_cli("search", "--s", "2", "--n", "3",
                         "--level", "qualitative")
@@ -81,6 +96,18 @@ def test_search_budget_exit():
                         "--level", "qualitative", "--budget-nodes", "100")
     assert code == 3
     assert "budget exhausted" in out
+
+
+def test_search_zero_budget_and_bad_numbers():
+    code, out = run_cli("search", "--s", "2", "--n", "3",
+                        "--level", "qualitative", "--max-m", "5",
+                        "--budget-nodes", "0")
+    assert code == 3 and "budget exhausted" in out
+    for flags in (["--budget-nodes", "-1"], ["--max-m", "0"],
+                  ["--max-m", "1"]):
+        code, out = run_cli("search", "--s", "2", "--n", "3",
+                            "--level", "qualitative", *flags)
+        assert code == 1 and "error:" in out, flags
 
 
 def test_search_env_budget(monkeypatch):

@@ -295,6 +295,19 @@ def test_json_rejects_partial_edge_list():
             {"vertices": 3, "colours": 1, "edges": [[0, 1, 1]]}))
 
 
+@pytest.mark.parametrize("doc, message", [
+    ({"vertices": 3, "edges": []}, "needs 'vertices'"),
+    ({"colours": 1, "edges": []}, "needs 'vertices'"),
+    ({"vertices": 2, "colours": 1, "edges": [[0, 2, 1]]}, "distinct vertices"),
+    ({"vertices": 2, "colours": 1, "edges": [["0", 1, 1]]}, "integer"),
+    ({"vertices": 3, "colours": 2,
+      "edges": [[0, 1, 1], [1, 0, 2], [1, 2, 1]]}, "listed twice"),
+])
+def test_json_rejects_malformed(doc, message):
+    with pytest.raises(ValueError, match=message):
+        EdgeColouring.from_json(json.dumps(doc))
+
+
 def test_dot_export():
     dot = pentagon().to_dot()
     assert dot.startswith("graph colouring {")

@@ -172,6 +172,12 @@ def test_construct_lyndon():
     assert construct(sig((1, 3), 4), Level.STRONG).m == 9
     assert construct(sig((1, 3), 5), Level.STRONG).m == 16
     assert construct(sig((1, 3), 5), Level.QUALITATIVE).m == 16
+    # planes of order 8 and 9 over GF(8) and GF(9)
+    assert construct(sig((1, 3), 9), Level.STRONG).m == 64
+    assert construct(sig((1, 3), 10), Level.STRONG).m == 81
+    # AG(2, 4) less one and two points
+    assert construct(sig((1, 3), 6), Level.QUALITATIVE).m == 15
+    assert construct(sig((1, 3), 7), Level.QUALITATIVE).m == 14
     for n in range(4, 11):
         assert isinstance(construct(sig((1, 3), n), Level.QUALITATIVE),
                           EdgeColouring)

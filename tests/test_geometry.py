@@ -7,10 +7,10 @@ import pytest
 from chromarep.algebra import Signature
 from chromarep.colouring import EdgeColouring, Level, verify
 from chromarep.geometry import (LinearSpace, Parallelism, affine_plane,
-                                affine_plane_order4, check_ls4, check_ls5,
+                                check_ls4, check_ls5,
                                 colouring_from_parallelism, drop_points,
-                                is_prime, linear_space_from_colouring,
-                                near_pencil, same_space, validate_parallelism,
+                                linear_space_from_colouring, near_pencil,
+                                prime_power, same_space, validate_parallelism,
                                 validate_space)
 
 
@@ -18,8 +18,16 @@ def sig(s, n):
     return Signature(frozenset(s), n)
 
 
-def test_is_prime():
-    assert [p for p in range(20) if is_prime(p)] == [2, 3, 5, 7, 11, 13, 17, 19]
+def test_prime_power():
+    expected = {2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1), 7: (7, 1),
+                8: (2, 3), 9: (3, 2), 11: (11, 1), 13: (13, 1), 16: (2, 4),
+                17: (17, 1), 19: (19, 1), 23: (23, 1), 25: (5, 2),
+                27: (3, 3), 29: (29, 1), 31: (31, 1), 32: (2, 5),
+                37: (37, 1), 41: (41, 1), 43: (43, 1), 47: (47, 1),
+                49: (7, 2)}
+    assert {q: prime_power(q) for q in range(1, 50)
+            if prime_power(q)} == expected
+    assert prime_power(0) is None and prime_power(1) is None
 
 
 def test_linear_space_rejects_unknown_points():
@@ -95,15 +103,17 @@ def test_near_pencil_shapes():
 
 
 def test_affine_plane_counts():
-    for p, lines, blocks in [(2, 6, 3), (3, 12, 4), (5, 30, 6)]:
+    for p, lines, blocks in [(2, 6, 3), (3, 12, 4), (4, 20, 5), (5, 30, 6),
+                             (8, 72, 9), (9, 90, 10)]:
         sp, pw = affine_plane(p)
         assert sp.point_count == p * p
         assert len(sp.lines) == lines
         assert len(pw.blocks) == blocks
         assert validate_space(sp).valid
         assert validate_parallelism(sp, pw).valid
-    with pytest.raises(ValueError):
-        affine_plane(4)
+    for q in (6, 12):
+        with pytest.raises(ValueError):
+            affine_plane(q)
 
 
 def test_affine_plane_2_is_k4_matchings():
@@ -116,13 +126,24 @@ def test_affine_plane_2_is_k4_matchings():
 
 
 def test_affine_plane_order4():
-    sp, pw = affine_plane_order4()
+    sp, pw = affine_plane(4)
     assert sp.point_count == 16
     assert len(sp.lines) == 20 and len(pw.blocks) == 5
     assert validate_space(sp).valid
     assert validate_parallelism(sp, pw).valid
     assert check_ls4(sp, pw).valid
     assert check_ls5(sp, pw).valid
+    # reference: GF(4) written out by hand, addition xor on {0,1,2,3}
+    mul = ((0, 0, 0, 0),
+           (0, 1, 2, 3),
+           (0, 2, 3, 1),
+           (0, 3, 1, 2))
+    lines = [frozenset(4 * x + (mul[s][x] ^ b) for x in range(4))
+             for s in range(4) for b in range(4)]
+    lines += [frozenset(4 * c + y for y in range(4)) for c in range(4)]
+    assert sp.lines == tuple(lines)
+    assert pw.blocks == tuple(tuple(range(4 * i, 4 * i + 4))
+                              for i in range(5))
 
 
 def test_drop_points_counts():
@@ -142,6 +163,15 @@ def test_drop_points_ls_axioms_order5():
     sp, pw = drop_points(affine_plane(5), [0])
     assert check_ls4(sp, pw).valid
     assert check_ls5(sp, pw).valid
+
+
+def test_drop_points_ls_axioms_order4():
+    # the order-4 plane is the least that keeps LS4 after a deletion
+    for k in (1, 2):
+        sp, pw = drop_points(affine_plane(4), range(k))
+        assert len(pw.blocks) == 5 + k
+        assert check_ls4(sp, pw).valid
+        assert check_ls5(sp, pw).valid
 
 
 def test_drop_points_ls4_gap_at_order3():
