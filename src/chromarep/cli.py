@@ -215,6 +215,8 @@ SIGNATURE_ORDER = [(1, 2, 3), (2, 3), (1, 3), (1, 2), (3,), (2,), (1,), ()]
 
 
 def cmd_table(args, out):
+    if args.max_n < 1:
+        raise ValueError(f"--max-n must be >= 1, got {args.max_n}")
     budget = _budget(args)
     rows = {}
     for s in SIGNATURE_ORDER:

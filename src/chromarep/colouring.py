@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cache
 from itertools import combinations
 
 from .algebra import MAX_WITNESSES
@@ -106,12 +107,16 @@ class EdgeColouring:
         doc = json.loads(text)
         try:
             m, edges = doc["vertices"], doc["edges"]
-            n = doc.get("colours") or doc["signature"]["n"]
+            n = doc["colours"] if "colours" in doc else doc["signature"]["n"]
         except (KeyError, TypeError, AttributeError):
             raise ValueError("colouring JSON needs 'vertices', 'edges' and "
                              "'colours' or 'signature.n'") from None
         _require_int(m, "vertex count")
         _require_int(n, "colour count")
+        declared = doc.get("signature")
+        if isinstance(declared, dict) and declared.get("n", n) != n:
+            raise ValueError(f"'colours' is {n} but the signature's n is "
+                             f"{declared['n']!r}")
         if not isinstance(edges, list) or len(edges) != m * (m - 1) // 2:
             raise ValueError("edge list does not cover K_m")
         cols = [None] * len(edges)
@@ -163,6 +168,21 @@ def required_multisets(sig) -> list[tuple[int, int, int]]:
                 if len({a, b, c}) in sig.s_set:
                     out.append((a, b, c))
     return out
+
+
+FORBIDDEN = None
+
+
+@cache
+def triangle_table(sig) -> tuple:
+    """``table[a][b][c]`` is ``FORBIDDEN`` when a triangle with side colours
+    a, b, c has a forbidden type (or a colour is 0), and otherwise the index
+    of its sorted colour multiset in ``required_multisets(sig)``."""
+    ids = {t: k for k, t in enumerate(required_multisets(sig))}
+    colours = range(sig.n + 1)
+    return tuple(tuple(tuple(ids.get(tuple(sorted((a, b, c))), FORBIDDEN)
+                             for c in colours) for b in colours)
+                 for a in colours)
 
 
 @dataclass
@@ -217,32 +237,31 @@ def verify(col: EdgeColouring, sig, level: Level) -> VerificationReport:
         raise ValueError(f"colouring has {col.n} colours, signature wants {sig.n}")
     report = VerificationReport(level_requested=level, passed=False,
                                 surjective=len(col.used_colours()) == sig.n)
-    forbidden = sig.forbidden
+    table = triangle_table(sig)
     realized = set()
     for x, y, z in combinations(range(col.m), 3):
         a, b, c = col.colour(x, y), col.colour(y, z), col.colour(x, z)
-        kind = len({a, b, c})
-        if kind in forbidden:
+        k = table[a][b][c]
+        if k is FORBIDDEN:
             report.forbidden_total += 1
             if len(report.forbidden_witnesses) < MAX_WITNESSES:
                 report.forbidden_witnesses.append(((x, y, z), (a, b, c)))
         else:
-            realized.add(tuple(sorted((a, b, c))))
+            realized.add(k)
 
     if level.rank >= Level.QUALITATIVE.rank:
-        report.missing_required = [t for t in required_multisets(sig)
-                                   if t not in realized]
+        report.missing_required = [t for k, t in
+                                   enumerate(required_multisets(sig))
+                                   if k not in realized]
 
     if level.rank >= Level.STRONG.rank:
         neigh = _colour_neighbours(col)
-        consistent_pairs = [[] for _ in range(sig.n + 1)]
-        for c in range(1, sig.n + 1):
-            for a in range(1, sig.n + 1):
-                for b in range(1, sig.n + 1):
-                    if len({a, b, c}) in sig.s_set:
-                        consistent_pairs[c].append((a, b))
+        colours = range(1, sig.n + 1)
+        consistent_pairs = [[(a, b) for a in colours for b in colours
+                             if table[a][b][c] is not FORBIDDEN]
+                            for c in range(sig.n + 1)]
         for v in range(col.m):
-            for a in range(1, sig.n + 1):
+            for a in colours:
                 if not neigh[v][a]:
                     report.strong_total += 1
                     if len(report.strong_failures) < MAX_WITNESSES:

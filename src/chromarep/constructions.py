@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import Signature
-from .colouring import EdgeColouring, Level, edge_list, verify
+from .colouring import EdgeColouring, Level, verify
 from .geometry import (affine_plane, colouring_from_parallelism, drop_points,
                        near_pencil, prime_power)
 from .quasigroup import lambda2, standard_qn
@@ -98,20 +98,21 @@ def _even_trichromatic_feeble(n: int) -> EdgeColouring:
     return EdgeColouring(base.m, n, tuple(cols))
 
 
-def _disjoint_triangle_filler(sig: Signature) -> EdgeColouring:
-    """One triangle per required colour multiset, disjointly, with colour 1
-    on every cross edge.  Sound whenever 1 and 2 are consistent types."""
-    from .colouring import required_multisets
-    multisets = required_multisets(sig)
-    m = 3 * len(multisets)
-    cols = {}
-    for idx, (a, b, c) in enumerate(multisets):
-        base = 3 * idx
-        cols[(base, base + 1)] = a
-        cols[(base + 1, base + 2)] = b
-        cols[(base, base + 2)] = c
-    colours = tuple(cols.get((i, j), 1) for i, j in edge_list(m))
-    return EdgeColouring(m, sig.n, colours)
+def _all_types_filler(n: int) -> EdgeColouring:
+    """walecki(n) beside n disjoint monochromatic triangles, one per colour,
+    with colour 1 on every cross edge: m = 5n.  Walecki realises every
+    non-monochromatic multiset and the triangles the monochromatic ones;
+    sound for S = {1, 2, 3}, where no triangle type is forbidden."""
+    base, two_n = walecki(n), 2 * n
+
+    def colour_of(i, j):
+        if j < two_n:
+            return base.colour(i, j)
+        if i >= two_n and (i - two_n) // 3 == (j - two_n) // 3:
+            return (i - two_n) // 3 + 1
+        return 1
+
+    return EdgeColouring.from_function(5 * n, n, colour_of)
 
 
 def _lyndon_qualitative(n: int) -> EdgeColouring:
@@ -228,6 +229,6 @@ def _dispatch(sig: Signature, level: Level):
             return NotConstructible(
                 "finite strong representations exist in the literature but "
                 "no construction is included here")
-        return _disjoint_triangle_filler(sig)
+        return _all_types_filler(n)
 
     raise AssertionError(f"unhandled signature {sig}")

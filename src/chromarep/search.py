@@ -14,8 +14,8 @@ import time
 from dataclasses import dataclass, field
 
 from .algebra import Signature
-from .colouring import (EdgeColouring, Level, canonical_form, edge_list,
-                        required_multisets, verify)
+from .colouring import (FORBIDDEN, EdgeColouring, Level, canonical_form,
+                        edge_list, required_multisets, triangle_table, verify)
 
 
 class BudgetExceeded(Exception):
@@ -66,42 +66,34 @@ class _Budget:
 
 
 def _search_m(sig: Signature, level: Level, m: int, budget: _Budget,
-              collect=None, break_colour_symmetry=True):
+              break_colour_symmetry=True):
     """Depth-first search over colourings of K_m.
 
-    Returns the first solution found, or None after exhausting the space.
-    When ``collect`` is a list, all solutions are appended instead and the
-    return value stays None.
+    Yields every solution, in depth-first order.
     """
     n = sig.n
-    forbidden = sig.forbidden
+    table = triangle_table(sig)
     edges = edge_list(m)
     total = len(edges)
     need_multisets = level.rank >= Level.QUALITATIVE.rank
-    required = set(required_multisets(sig)) if need_multisets else set()
 
     # triangles completed by each edge: (i, j) closes {k, i, j} for k < i
-    closures = []
-    for i, j in edges:
-        closures.append([(i * (i - 1) // 2 + k, j * (j - 1) // 2 + k)
-                         for k in range(i)])
+    closures = [[(i * (i - 1) // 2 + k, j * (j - 1) // 2 + k)
+                 for k in range(i)] for i, j in edges]
     # triangles still open after assigning position idx
     remaining_triangles = [0] * (total + 1)
     for idx in range(total - 1, -1, -1):
         remaining_triangles[idx] = remaining_triangles[idx + 1] + len(closures[idx])
 
     colours = [0] * total
-    realized_count: dict = {}
-    state = {"missing": len(required), "used": 0}
-    found: list = []
+    realized_count = [0] * len(required_multisets(sig))
+    missing = len(realized_count)
+    used = 0
 
     def dfs(idx):
-        if found and collect is None:
-            return
+        nonlocal missing, used
         if idx == total:
-            if state["used"] != n:
-                return
-            if need_multisets and state["missing"]:
+            if used != n or (need_multisets and missing):
                 return
             cand = EdgeColouring(m, n, tuple(colours))
             report = verify(cand, sig, level)  # independent soundness check
@@ -109,55 +101,41 @@ def _search_m(sig: Signature, level: Level, m: int, budget: _Budget,
                 if level is Level.STRONG:
                     return  # strong witnesses are only checked post-hoc
                 raise AssertionError("search produced an invalid colouring")
-            if collect is not None:
-                collect.append(cand)
-            else:
-                found.append(cand)
+            yield cand
             return
         # surjectivity unreachable?
-        if state["used"] + (total - idx) < n:
+        if used + (total - idx) < n:
             return
-        if need_multisets and state["missing"] > remaining_triangles[idx]:
-            return
-        i, j = edges[idx]
-        top = min(n, state["used"] + 1) if break_colour_symmetry else n
+        top = min(n, used + 1) if break_colour_symmetry else n
         for c in range(1, top + 1):
-            ok = True
             newly = []
             for e1, e2 in closures[idx]:
-                kind = len({c, colours[e1], colours[e2]})
-                if kind in forbidden:
-                    ok = False
+                k = table[c][colours[e1]][colours[e2]]
+                if k is FORBIDDEN:
                     break
-                if need_multisets:
-                    key = tuple(sorted((c, colours[e1], colours[e2])))
-                    if key in required:
-                        newly.append(key)
-            if ok:
+                newly.append(k)
+            else:
                 budget.tick()
                 colours[idx] = c
-                new_colour = c > state["used"]
+                new_colour = c > used
                 if new_colour:
-                    state["used"] += 1
-                for key in newly:
-                    if realized_count.get(key, 0) == 0:
-                        state["missing"] -= 1
-                    realized_count[key] = realized_count.get(key, 0) + 1
+                    used += 1
+                for k in newly:
+                    if realized_count[k] == 0:
+                        missing -= 1
+                    realized_count[k] += 1
                 if not (need_multisets
-                        and state["missing"] > remaining_triangles[idx + 1]):
-                    dfs(idx + 1)
-                for key in newly:
-                    realized_count[key] -= 1
-                    if realized_count[key] == 0:
-                        state["missing"] += 1
+                        and missing > remaining_triangles[idx + 1]):
+                    yield from dfs(idx + 1)
+                for k in newly:
+                    realized_count[k] -= 1
+                    if realized_count[k] == 0:
+                        missing += 1
                 if new_colour:
-                    state["used"] -= 1
+                    used -= 1
                 colours[idx] = 0
-                if found and collect is None:
-                    return
 
-    dfs(0)
-    return found[0] if found else None
+    yield from dfs(0)
 
 
 def _trivially_empty(sig: Signature, level: Level, m: int) -> bool:
@@ -191,8 +169,8 @@ def search(sig: Signature, level: Level, m_range=None, node_budget=None,
             continue
         before = budget.nodes
         try:
-            hit = _search_m(sig, level, m, budget,
-                            break_colour_symmetry=break_colour_symmetry)
+            solutions = _search_m(sig, level, m, budget, break_colour_symmetry)
+            hit = next(solutions, None)
         except BudgetExceeded:
             per_m.append(PerM(m, "aborted", budget.nodes - before,
                               time.perf_counter() - start))
@@ -218,20 +196,19 @@ def enumerate_representations(sig: Signature, level: Level, m: int,
     Returns (colourings, partial): partial is True when the budget ran out,
     in which case the list must not be used as a completeness certificate.
     """
-    if m > 3 * (sig.n + 1):
-        raise ValueError("vertex count beyond the search bound")
+    if not 1 <= m <= 3 * (sig.n + 1):
+        raise ValueError(f"vertex count {m} outside the search range "
+                         f"1..{3 * (sig.n + 1)}")
     budget = _Budget(node_budget)
-    raw: list = []
     partial = False
+    canon = {}
     if not _trivially_empty(sig, level, m):
         try:
-            _search_m(sig, level, m, budget, collect=raw)
+            for col in _search_m(sig, level, m, budget):
+                c = canonical_form(col)
+                canon[c.colours] = c
         except BudgetExceeded:
             partial = True
-    canon = {}
-    for col in raw:
-        c = canonical_form(col)
-        canon[c.colours] = c
     ordered = [canon[key] for key in sorted(canon)]
     return ordered, partial
 

@@ -103,11 +103,14 @@ def test_search_zero_budget_and_bad_numbers():
                         "--level", "qualitative", "--max-m", "5",
                         "--budget-nodes", "0")
     assert code == 3 and "budget exhausted" in out
-    for flags in (["--budget-nodes", "-1"], ["--max-m", "0"],
-                  ["--max-m", "1"]):
-        code, out = run_cli("search", "--s", "2", "--n", "3",
-                            "--level", "qualitative", *flags)
-        assert code == 1 and "error:" in out, flags
+    search = ["search", "--s", "2", "--n", "3", "--level", "qualitative"]
+    enum = ["enumerate", "--s", "2", "--n", "3"]
+    for argv in (search + ["--budget-nodes", "-1"], search + ["--max-m", "0"],
+                 search + ["--max-m", "1"], enum + ["--m", "0"],
+                 enum + ["--m", "-3"], ["table", "--max-n", "-1"],
+                 ["table", "--max-n", "0"]):
+        code, out = run_cli(*argv)
+        assert code == 1 and "error:" in out, argv
 
 
 def test_search_env_budget(monkeypatch):

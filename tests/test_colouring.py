@@ -302,6 +302,10 @@ def test_json_rejects_partial_edge_list():
     ({"vertices": 2, "colours": 1, "edges": [["0", 1, 1]]}, "integer"),
     ({"vertices": 3, "colours": 2,
       "edges": [[0, 1, 1], [1, 0, 2], [1, 2, 1]]}, "listed twice"),
+    ({"vertices": 2, "colours": 0, "signature": {"s": [1], "n": 1},
+      "edges": [[0, 1, 1]]}, "signature's n"),
+    ({"vertices": 2, "colours": 2, "signature": {"s": [1], "n": 1},
+      "edges": [[0, 1, 1]]}, "signature's n"),
 ])
 def test_json_rejects_malformed(doc, message):
     with pytest.raises(ValueError, match=message):

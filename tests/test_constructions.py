@@ -6,7 +6,7 @@ import pytest
 
 from chromarep.algebra import Signature
 from chromarep.colouring import (EdgeColouring, Level, classify_triangle,
-                                 required_multisets, verify)
+                                 verify)
 from chromarep.constructions import (DelegatedToSearch, NotConstructible,
                                      chain_colouring, construct, pentagon,
                                      single_colour, walecki, walecki_witness,
@@ -189,8 +189,8 @@ def test_construct_lyndon():
 
 def test_construct_all_types():
     col = construct(sig((1, 2, 3), 3), Level.QUALITATIVE)
-    # one disjoint triangle per required multiset, colour-1 filler
-    assert col.m == 3 * len(required_multisets(sig((1, 2, 3), 3)))
+    # walecki(3) on 6 vertices plus one monochromatic triangle per colour
+    assert col.m == 15
     assert isinstance(construct(sig((1, 2, 3), 3), Level.STRONG),
                       NotConstructible)
 

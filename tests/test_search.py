@@ -115,8 +115,8 @@ def test_symmetry_breaking_safety():
             raw = []
             budget = srch._Budget(None)
             if not srch._trivially_empty(sig(s, n), Level.QUALITATIVE, m):
-                srch._search_m(sig(s, n), Level.QUALITATIVE, m, budget,
-                               collect=raw, break_colour_symmetry=False)
+                raw = list(srch._search_m(sig(s, n), Level.QUALITATIVE, m,
+                                          budget, break_colour_symmetry=False))
             b = {canonical_form(c).colours for c in raw}
             assert {c.colours for c in a} == b, (s, n, m)
 
@@ -183,3 +183,56 @@ def test_search_agrees_with_construct_verdicts():
                 outcome.complete_certificate
         elif isinstance(built, EdgeColouring):
             assert outcome.status == "found"
+
+
+# Per-m (m, status, nodes) and the found colour tuple, recorded before the
+# search kernel was rewritten; any change to node counts, verdicts or the
+# colouring found first shows here.
+_Q, _S, _F = Level.QUALITATIVE, Level.STRONG, Level.FEEBLE
+_SKIPPED = [(2, "skipped", 0), (3, "skipped", 0), (4, "skipped", 0)]
+GOLDEN_SEARCHES = [
+    ((3,), 5, _Q, None, _SKIPPED + [(5, "found", 32)],
+     (1, 2, 3, 3, 4, 5, 4, 5, 1, 2)),
+    ((2, 3), 3, _Q, None, _SKIPPED + [(5, "found", 48)],
+     (1, 1, 2, 1, 2, 3, 3, 1, 2, 3)),
+    ((3,), 4, _Q, None,
+     _SKIPPED[:2] + [(4, "exhausted", 16)]
+     + [(m, "exhausted", 74) for m in range(5, 16)], None),
+    ((2,), 2, _S, None,
+     _SKIPPED[:2] + [(4, "exhausted", 30), (5, "found", 26)],
+     (1, 1, 2, 2, 1, 2, 2, 2, 1, 1)),
+    ((1,), 2, _F, None,
+     [(2, "skipped", 0), (3, "exhausted", 4), (4, "exhausted", 8),
+      (5, "exhausted", 13), (6, "exhausted", 19), (7, "exhausted", 26),
+      (8, "exhausted", 34), (9, "exhausted", 43)], None),
+    ((1, 2), 3, _S, (2, 6),
+     _SKIPPED + [(5, "exhausted", 468), (6, "exhausted", 62780)], None),
+    ((2,), 3, _Q, (2, 7),
+     _SKIPPED + [(5, "exhausted", 606), (6, "exhausted", 5640),
+                 (7, "exhausted", 34422)], None),
+]
+
+
+@pytest.mark.parametrize(
+    "s, n, level, m_range, per_m, colours", GOLDEN_SEARCHES,
+    ids=[f"{''.join(map(str, s))}-n{n}-{level.value}"
+         for s, n, level, *_ in GOLDEN_SEARCHES])
+def test_search_golden_pin(s, n, level, m_range, per_m, colours):
+    outcome = search(sig(s, n), level, m_range=m_range)
+    assert [(rec.m, rec.status, rec.nodes) for rec in outcome.per_m] == per_m
+    assert outcome.nodes == sum(nodes for _, _, nodes in per_m)
+    if colours is None:
+        assert outcome.status == "exhausted" and outcome.colouring is None
+    else:
+        assert outcome.status == "found"
+        assert outcome.colouring.colours == colours
+
+
+def test_enumerate_golden_pin():
+    results, partial = enumerate_representations(sig((1, 2), 2),
+                                                 Level.QUALITATIVE, 5)
+    assert not partial
+    assert [c.colours for c in results] == [
+        (1, 1, 1, 1, 1, 2, 1, 2, 2, 2),
+        (1, 1, 1, 1, 1, 2, 2, 2, 2, 2),
+        (1, 1, 1, 1, 2, 2, 2, 1, 2, 2)]
