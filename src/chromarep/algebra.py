@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import product
 
 MAX_WITNESSES = 16
@@ -42,6 +43,32 @@ class Signature:
     def __str__(self):
         s = ",".join(str(x) for x in sorted(self.s_set)) or "∅"
         return f"E_{self.n + 1}^{{{s}}}"
+
+
+def required_multisets(sig) -> list[tuple[int, int, int]]:
+    """Sorted proper-colour multisets a qualitative representation must realise."""
+    out = []
+    for a in range(1, sig.n + 1):
+        for b in range(a, sig.n + 1):
+            for c in range(b, sig.n + 1):
+                if len({a, b, c}) in sig.s_set:
+                    out.append((a, b, c))
+    return out
+
+
+FORBIDDEN = None
+
+
+@cache
+def triangle_table(sig) -> tuple:
+    """``table[a][b][c]`` is ``FORBIDDEN`` when a triangle with side colours
+    a, b, c has a forbidden type (or a colour is 0), and otherwise the index
+    of its sorted colour multiset in ``required_multisets(sig)``."""
+    ids = {t: k for k, t in enumerate(required_multisets(sig))}
+    colours = range(sig.n + 1)
+    return tuple(tuple(tuple(ids.get(tuple(sorted((a, b, c))), FORBIDDEN)
+                             for c in colours) for b in colours)
+                 for a in colours)
 
 
 @dataclass(frozen=True)
@@ -101,15 +128,17 @@ def chromatic_atoms(sig: Signature) -> AtomStructure:
     """Atom structure of the chromatic algebra for a signature.
 
     The identity atom composes as a unit; a proper triple is consistent
-    exactly when its number of distinct colours lies in S.  Identity triples
-    are stored together with their Peircean transforms.
+    exactly when its number of distinct colours lies in S, as
+    ``triangle_table`` records.  Identity triples are stored together with
+    their Peircean transforms.
     """
     atoms = range(sig.atom_count)
+    table = triangle_table(sig)
     triples = set()
     for b in atoms:
         triples.update({(IDENTITY, b, b), (b, IDENTITY, b), (b, b, IDENTITY)})
     for a, b, c in product(range(1, sig.atom_count), repeat=3):
-        if len({a, b, c}) in sig.s_set:
+        if table[a][b][c] is not FORBIDDEN:
             triples.add((a, b, c))
     return AtomStructure(sig.atom_count,
                          tuple(atoms),

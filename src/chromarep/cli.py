@@ -14,7 +14,7 @@ import sys
 from .algebra import Signature
 from .colouring import EdgeColouring, Level, verify
 from .constructions import (DelegatedToSearch, NotConstructible, construct,
-                            walecki, walecki_witness)
+                            walecki_colour, walecki_witness)
 from .search import certify_summary_row, enumerate_representations, search
 
 EXIT_OK = 0
@@ -202,11 +202,11 @@ def cmd_witness(args, out):
         out.write("triple must be three comma-separated colours\n")
         return EXIT_USAGE
     n = args.walecki_n
-    col = walecki(n)
     x, y, z = walecki_witness(n, i, j, k)
     doc = {"vertices": [x, y, z],
-           "colours": {"xy": col.colour(x, y), "xz": col.colour(x, z),
-                       "yz": col.colour(y, z)}}
+           "colours": {"xy": walecki_colour(n, x, y),
+                       "xz": walecki_colour(n, x, z),
+                       "yz": walecki_colour(n, y, z)}}
     out.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     return EXIT_OK
 

@@ -12,20 +12,16 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cache
 from itertools import combinations
 
-from .algebra import MAX_WITNESSES
+from .algebra import (FORBIDDEN, MAX_WITNESSES, required_multisets,
+                      triangle_table)
 
 
 class Level(Enum):
     FEEBLE = "feeble"
     QUALITATIVE = "qualitative"
     STRONG = "strong"
-
-    @property
-    def rank(self) -> int:
-        return {"feeble": 0, "qualitative": 1, "strong": 2}[self.value]
 
 
 def edge_index(i: int, j: int) -> int:
@@ -159,32 +155,6 @@ def classify_triangle(col: EdgeColouring, x: int, y: int, z: int) -> int:
     return len({col.colour(x, y), col.colour(y, z), col.colour(x, z)})
 
 
-def required_multisets(sig) -> list[tuple[int, int, int]]:
-    """Sorted proper-colour multisets a qualitative representation must realise."""
-    out = []
-    for a in range(1, sig.n + 1):
-        for b in range(a, sig.n + 1):
-            for c in range(b, sig.n + 1):
-                if len({a, b, c}) in sig.s_set:
-                    out.append((a, b, c))
-    return out
-
-
-FORBIDDEN = None
-
-
-@cache
-def triangle_table(sig) -> tuple:
-    """``table[a][b][c]`` is ``FORBIDDEN`` when a triangle with side colours
-    a, b, c has a forbidden type (or a colour is 0), and otherwise the index
-    of its sorted colour multiset in ``required_multisets(sig)``."""
-    ids = {t: k for k, t in enumerate(required_multisets(sig))}
-    colours = range(sig.n + 1)
-    return tuple(tuple(tuple(ids.get(tuple(sorted((a, b, c))), FORBIDDEN)
-                             for c in colours) for b in colours)
-                 for a in colours)
-
-
 @dataclass
 class VerificationReport:
     level_requested: Level
@@ -224,6 +194,27 @@ def _colour_neighbours(col: EdgeColouring):
     return neigh
 
 
+def triangle_scan(col: EdgeColouring, sig):
+    """One pass over the triangles of ``col`` in ``combinations`` order.
+
+    Returns (forbidden total, the first ``MAX_WITNESSES`` forbidden
+    (vertex triple, colour triple) pairs, first), where ``first[k]`` is the
+    first vertex triple realising ``required_multisets(sig)[k]``.
+    """
+    table = triangle_table(sig)
+    total, witnesses, first = 0, [], {}
+    for x, y, z in combinations(range(col.m), 3):
+        a, b, c = col.colour(x, y), col.colour(y, z), col.colour(x, z)
+        k = table[a][b][c]
+        if k is FORBIDDEN:
+            total += 1
+            if len(witnesses) < MAX_WITNESSES:
+                witnesses.append(((x, y, z), (a, b, c)))
+        elif k not in first:
+            first[k] = (x, y, z)
+    return total, witnesses, first
+
+
 def verify(col: EdgeColouring, sig, level: Level) -> VerificationReport:
     """Check a colouring against a chromatic signature at the given level.
 
@@ -237,24 +228,16 @@ def verify(col: EdgeColouring, sig, level: Level) -> VerificationReport:
         raise ValueError(f"colouring has {col.n} colours, signature wants {sig.n}")
     report = VerificationReport(level_requested=level, passed=False,
                                 surjective=len(col.used_colours()) == sig.n)
-    table = triangle_table(sig)
-    realized = set()
-    for x, y, z in combinations(range(col.m), 3):
-        a, b, c = col.colour(x, y), col.colour(y, z), col.colour(x, z)
-        k = table[a][b][c]
-        if k is FORBIDDEN:
-            report.forbidden_total += 1
-            if len(report.forbidden_witnesses) < MAX_WITNESSES:
-                report.forbidden_witnesses.append(((x, y, z), (a, b, c)))
-        else:
-            realized.add(k)
+    (report.forbidden_total, report.forbidden_witnesses,
+     realized) = triangle_scan(col, sig)
 
-    if level.rank >= Level.QUALITATIVE.rank:
+    if level is not Level.FEEBLE:
         report.missing_required = [t for k, t in
                                    enumerate(required_multisets(sig))
                                    if k not in realized]
 
-    if level.rank >= Level.STRONG.rank:
+    if level is Level.STRONG:
+        table = triangle_table(sig)
         neigh = _colour_neighbours(col)
         colours = range(1, sig.n + 1)
         consistent_pairs = [[(a, b) for a in colours for b in colours
@@ -323,19 +306,6 @@ def saturate(col: EdgeColouring, v: int, sig) -> EdgeColouring:
     return out
 
 
-def _code_of_ordering(col: EdgeColouring, order: list[int]) -> tuple[int, ...]:
-    """Edge-colour sequence of the relabelled colouring, colours renamed
-    by first occurrence along the enumeration order."""
-    rename: dict[int, int] = {}
-    out = []
-    for i, j in edge_list(col.m):
-        c = col.colour(order[i], order[j])
-        if c not in rename:
-            rename[c] = len(rename) + 1
-        out.append(rename[c])
-    return tuple(out)
-
-
 def canonical_form(col: EdgeColouring) -> EdgeColouring:
     """Lexicographically minimal relabelling over vertex and colour permutations.
 
@@ -344,7 +314,9 @@ def canonical_form(col: EdgeColouring) -> EdgeColouring:
     code comparable before the ordering is complete.  Idempotent.
     """
     m = col.m
-    best = list(_code_of_ordering(col, list(range(m))))
+    # above every code, whose colours are renamed into 1..n; the first
+    # complete ordering the search reaches is the identity
+    best = [col.n + 1]
 
     def dfs(order, code, rename):
         nonlocal best

@@ -53,18 +53,19 @@ def chain_colouring(n: int) -> EdgeColouring:
     return EdgeColouring.from_function(n + 1, n, lambda i, j: max(i, j))
 
 
+def walecki_colour(n: int, u: int, v: int) -> int:
+    """Colour of the edge {u, v} of walecki(n), without building it."""
+    u, v = min(u, v), max(u, v)
+    return wrap_colour(n, (v - u + 2) // 2 + u)
+
+
 def walecki(n: int) -> EdgeColouring:
     """Zigzag Hamiltonian-path decomposition of K_{2n}, one colour per
     rotation; no monochromatic triangle, all other triangles realised."""
     if n < 1:
         raise ValueError("need at least one colour")
-
-    def colour_of(u, v):
-        i = u + 1
-        s = (v - u) % (2 * n)
-        return wrap_colour(n, (s + 2) // 2 + i - 1)
-
-    return EdgeColouring.from_function(2 * n, n, colour_of)
+    return EdgeColouring.from_function(
+        2 * n, n, lambda u, v: walecki_colour(n, u, v))
 
 
 def walecki_witness(n: int, i: int, j: int, k: int):
@@ -103,11 +104,11 @@ def _all_types_filler(n: int) -> EdgeColouring:
     with colour 1 on every cross edge: m = 5n.  Walecki realises every
     non-monochromatic multiset and the triangles the monochromatic ones;
     sound for S = {1, 2, 3}, where no triangle type is forbidden."""
-    base, two_n = walecki(n), 2 * n
+    two_n = 2 * n
 
     def colour_of(i, j):
         if j < two_n:
-            return base.colour(i, j)
+            return walecki_colour(n, i, j)
         if i >= two_n and (i - two_n) // 3 == (j - two_n) // 3:
             return (i - two_n) // 3 + 1
         return 1

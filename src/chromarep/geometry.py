@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from math import isqrt
 
-from .algebra import MAX_WITNESSES
-from .colouring import EdgeColouring
+from .algebra import MAX_WITNESSES, Signature, required_multisets
+from .colouring import EdgeColouring, _colour_neighbours, triangle_scan
 
 
 @dataclass(frozen=True)
@@ -77,15 +77,15 @@ def validate_space(sp: LinearSpace) -> SpaceReport:
             report.short_lines.append(idx)
         for p, q in combinations(sorted(line), 2):
             cover.setdefault((p, q), []).append(idx)
+    double_meets = set()  # two lines meet twice iff they share a pair
     for p, q in combinations(range(sp.point_count), 2):
         hits = cover.get((p, q), [])
         if not hits:
             report.uncovered_pairs.append((p, q))
         elif len(hits) > 1:
             report.multi_covered_pairs.append((p, q))
-    for i, j in combinations(range(len(sp.lines)), 2):
-        if len(sp.lines[i] & sp.lines[j]) > 1:
-            report.double_meets.append((i, j))
+            double_meets.update(combinations(hits, 2))
+    report.double_meets = sorted(double_meets)
     report.valid = not (report.uncovered_pairs or report.multi_covered_pairs
                         or report.double_meets or report.short_lines)
     return report
@@ -135,28 +135,21 @@ def check_ls5(sp: LinearSpace, pw: Parallelism) -> Ls5Report:
     """Each triple of distinct parallel classes needs three points in
     general position whose pairwise lines lie in those classes.
 
-    Only distinct class triples are checked; the monochromatic requirement
-    is LS4's job and the dichromatic combination cannot occur under a
-    parallelism.
+    These are the trichromatic multisets of the {1,3} signature on the
+    colouring of the parallelism; the monochromatic requirement is LS4's
+    job and the dichromatic combination cannot occur under a parallelism.
+    Raises ValueError, through ``colouring_from_parallelism``, when the
+    input is no linear space with a parallelism.
     """
-    through = sp.line_through()
-    block_of = {}
-    for b, block in enumerate(pw.blocks):
-        for idx in block:
-            block_of[idx] = b
-    realised = {}
-    for p, q, r in combinations(range(sp.point_count), 3):
-        bpq = block_of[through[(p, q)]]
-        bqr = block_of[through[(q, r)]]
-        bpr = block_of[through[(p, r)]]
-        key = frozenset({bpq, bqr, bpr})
-        if len(key) == 3 and key not in realised:
-            realised[key] = (p, q, r)
+    sig = Signature(frozenset({1, 3}), len(pw.blocks))
+    _, _, first = triangle_scan(colouring_from_parallelism(sp, pw), sig)
     report = Ls5Report(valid=True)
-    for combo in combinations(range(len(pw.blocks)), 3):
-        key = frozenset(combo)
-        if key in realised:
-            report.witnesses[combo] = realised[key]
+    for k, (a, b, c) in enumerate(required_multisets(sig)):
+        if not a < b < c:
+            continue
+        combo = (a - 1, b - 1, c - 1)
+        if k in first:
+            report.witnesses[combo] = first[k]
         else:
             if len(report.failures) < MAX_WITNESSES:
                 report.failures.append(combo)
@@ -326,38 +319,21 @@ def linear_space_from_colouring(col: EdgeColouring):
     Each colour class is then a disjoint union of cliques; the cliques are
     the lines and the classes the parallel blocks.
     """
-    from .algebra import Signature
-    from .colouring import Level, verify
-
     sig = Signature(frozenset({1, 3}), col.n)
-    if verify(col, sig, Level.FEEBLE).forbidden_total:
+    if triangle_scan(col, sig)[0]:
         raise ValueError("colouring has a dichromatic triangle")
     if len(col.used_colours()) != col.n:
         raise ValueError("colouring does not use every colour")
+    neigh = _colour_neighbours(col)
     lines = []
     blocks = []
     for c in range(1, col.n + 1):
-        adj = {v: set() for v in range(col.m)}
-        for i, j, colc in col.edges():
-            if colc == c:
-                adj[i].add(j)
-                adj[j].add(i)
-        seen = set()
         block = []
         for v in range(col.m):
-            if v in seen or not adj[v]:
-                continue
-            comp = {v}
-            frontier = [v]
-            while frontier:
-                w = frontier.pop()
-                for u in adj[w]:
-                    if u not in comp:
-                        comp.add(u)
-                        frontier.append(u)
-            seen |= comp
-            block.append(len(lines))
-            lines.append(frozenset(comp))
+            # the line through v in colour c, listed at its least point
+            if neigh[v][c] and v < min(neigh[v][c]):
+                block.append(len(lines))
+                lines.append(frozenset(neigh[v][c] | {v}))
         blocks.append(tuple(block))
     return LinearSpace(col.m, tuple(lines)), Parallelism(tuple(blocks))
 

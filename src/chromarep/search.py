@@ -13,9 +13,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from .algebra import Signature
-from .colouring import (FORBIDDEN, EdgeColouring, Level, canonical_form,
-                        edge_list, required_multisets, triangle_table, verify)
+from .algebra import FORBIDDEN, Signature, required_multisets, triangle_table
+from .colouring import EdgeColouring, Level, canonical_form, edge_list, verify
 
 
 class BudgetExceeded(Exception):
@@ -75,7 +74,7 @@ def _search_m(sig: Signature, level: Level, m: int, budget: _Budget,
     table = triangle_table(sig)
     edges = edge_list(m)
     total = len(edges)
-    need_multisets = level.rank >= Level.QUALITATIVE.rank
+    need_multisets = level is not Level.FEEBLE
 
     # triangles completed by each edge: (i, j) closes {k, i, j} for k < i
     closures = [[(i * (i - 1) // 2 + k, j * (j - 1) // 2 + k)
@@ -90,19 +89,9 @@ def _search_m(sig: Signature, level: Level, m: int, budget: _Budget,
     missing = len(realized_count)
     used = 0
 
-    def dfs(idx):
+    # yields once per admissible colour of position idx, with it applied
+    def extend(idx):
         nonlocal missing, used
-        if idx == total:
-            if used != n or (need_multisets and missing):
-                return
-            cand = EdgeColouring(m, n, tuple(colours))
-            report = verify(cand, sig, level)  # independent soundness check
-            if not report.passed:
-                if level is Level.STRONG:
-                    return  # strong witnesses are only checked post-hoc
-                raise AssertionError("search produced an invalid colouring")
-            yield cand
-            return
         # surjectivity unreachable?
         if used + (total - idx) < n:
             return
@@ -126,7 +115,7 @@ def _search_m(sig: Signature, level: Level, m: int, budget: _Budget,
                     realized_count[k] += 1
                 if not (need_multisets
                         and missing > remaining_triangles[idx + 1]):
-                    yield from dfs(idx + 1)
+                    yield
                 for k in newly:
                     realized_count[k] -= 1
                     if realized_count[k] == 0:
@@ -135,7 +124,26 @@ def _search_m(sig: Signature, level: Level, m: int, budget: _Budget,
                     used -= 1
                 colours[idx] = 0
 
-    yield from dfs(0)
+    # gen colours the current position; those before it wait on a stack,
+    # since nesting C(m, 2) generators would pass the recursion limit
+    stack, gen = [], extend(0)
+    while gen is not None:
+        for _ in gen:
+            if len(stack) + 1 < total:
+                stack.append(gen)
+                gen = extend(len(stack))
+                break
+            if used != n or (need_multisets and missing):
+                continue
+            cand = EdgeColouring(m, n, tuple(colours))
+            report = verify(cand, sig, level)  # independent soundness check
+            if report.passed:
+                yield cand
+            elif level is not Level.STRONG:
+                # strong witnesses are only checked post-hoc
+                raise AssertionError("search produced an invalid colouring")
+        else:
+            gen = stack.pop() if stack else None
 
 
 def _trivially_empty(sig: Signature, level: Level, m: int) -> bool:
@@ -143,7 +151,7 @@ def _trivially_empty(sig: Signature, level: Level, m: int) -> bool:
     for the required multisets."""
     if m * (m - 1) // 2 < sig.n:
         return True
-    if level.rank >= Level.QUALITATIVE.rank:
+    if level is not Level.FEEBLE:
         if m * (m - 1) * (m - 2) // 6 < len(required_multisets(sig)):
             return True
     return False
@@ -196,9 +204,9 @@ def enumerate_representations(sig: Signature, level: Level, m: int,
     Returns (colourings, partial): partial is True when the budget ran out,
     in which case the list must not be used as a completeness certificate.
     """
-    if not 1 <= m <= 3 * (sig.n + 1):
-        raise ValueError(f"vertex count {m} outside the search range "
-                         f"1..{3 * (sig.n + 1)}")
+    hi = default_m_range(sig)[1]
+    if not 1 <= m <= hi:
+        raise ValueError(f"vertex count {m} outside the search range 1..{hi}")
     budget = _Budget(node_budget)
     partial = False
     canon = {}

@@ -1,6 +1,22 @@
 import re
+import time
+
+import pytest
+
+from chromarep.algebra import Signature
+from chromarep.colouring import Level
+from chromarep.search import search
 
 _acceptance_results = {}
+
+
+@pytest.fixture(scope="session")
+def dichromatic_certificate():
+    """The {2}, n=3 qualitative search over the default range, run once per
+    session (about 6.2M nodes), with its wall seconds."""
+    start = time.monotonic()
+    outcome = search(Signature(frozenset({2}), 3), Level.QUALITATIVE)
+    return outcome, time.monotonic() - start
 
 
 def pytest_runtest_logreport(report):

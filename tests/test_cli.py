@@ -149,6 +149,27 @@ def test_witness():
     assert doc["colours"] == {"xy": 1, "xz": 2, "yz": 3}
     code, _ = run_cli("witness", "--walecki-n", "3", "--triple", "1,2")
     assert code == 1
+    # reads three edges by the colour rule, without building K_2000000
+    code, out = run_cli("witness", "--walecki-n", "1000000",
+                        "--triple", "1,2,999999")
+    assert code == 0
+    assert json.loads(out)["colours"] == {"xy": 1, "xz": 2, "yz": 999999}
+
+
+def test_deep_searches_finish():
+    # K_m with C(m, 2) > 1000 edges: one nested generator per edge would
+    # pass the recursion limit
+    for argv, tail in [
+            (("--n", "15"), "none found (range-limited) up to m=48"),
+            (("--n", "15", "--max-m", "60"),
+             "none found (range-limited) up to m=60"),
+            (("--n", "2", "--max-m", "46"),
+             "none found (range-limited) up to m=46")]:
+        code, out = run_cli("search", "--s", "1", "--level", "feeble", *argv)
+        assert code == 0 and out.rstrip().endswith(tail), argv
+    code, out = run_cli("enumerate", "--s", "1", "--n", "15",
+                        "--level", "feeble", "--m", "47")
+    assert code == 0 and json.loads(out)["count"] == 0
 
 
 def test_table():

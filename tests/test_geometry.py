@@ -66,6 +66,16 @@ def test_validate_parallelism_witnesses():
     assert validate_parallelism(sp, partial).not_a_partition
 
 
+def test_ls5_rejects_non_parallelisms():
+    # crossing lines in one block, and blocks that miss lines: neither is a
+    # parallelism, so there are no parallel classes to check
+    sp, _ = affine_plane(2)
+    for bad in (Parallelism(((0, 2), (1, 3), (4, 5))),
+                Parallelism(((0,), (1,)))):
+        with pytest.raises(ValueError):
+            check_ls5(sp, bad)
+
+
 def test_ls4_ls5_affine_plane():
     sp, pw = affine_plane(3)
     assert check_ls4(sp, pw).valid
