@@ -17,6 +17,23 @@ MAX_WITNESSES = 16
 IDENTITY = 0
 
 
+def _require_int(value, what: str) -> None:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+
+
+def _int_rows(value, what: str) -> tuple:
+    """A JSON list of integer lists as a tuple of tuples; else ValueError."""
+    if not isinstance(value, list):
+        raise ValueError(f"{what}s must be a list, got {value!r}")
+    for row in value:
+        if not isinstance(row, list):
+            raise ValueError(f"{what} {row!r} is not a list")
+        for x in row:
+            _require_int(x, f"{what} {row!r} entry")
+    return tuple(tuple(row) for row in value)
+
+
 @dataclass(frozen=True)
 class Signature:
     """A chromatic algebra selector: consistent triangle types S and the
@@ -88,6 +105,8 @@ class AtomStructure:
         if len(self.converse) != self.atom_count:
             raise ValueError("converse must cover every atom")
         for a in range(self.atom_count):
+            if not 0 <= self.converse[a] < self.atom_count:
+                raise ValueError(f"converse of atom {a} is no atom")
             if self.converse[self.converse[a]] != a:
                 raise ValueError(f"converse is not self-inverse at atom {a}")
         for t in self.triples:
@@ -107,10 +126,18 @@ class AtomStructure:
 
     @classmethod
     def from_json(cls, text: str) -> "AtomStructure":
+        """Parse the JSON form; malformed input raises ValueError."""
         doc = json.loads(text)
-        return cls(doc["atom_count"], tuple(doc["converse"]),
-                   frozenset(doc["identity"]),
-                   frozenset(tuple(t) for t in doc["triples"]))
+        try:
+            count, converse = doc["atom_count"], doc["converse"]
+            identity, triples = doc["identity"], doc["triples"]
+        except (KeyError, TypeError):
+            raise ValueError("atom-structure JSON needs 'atom_count', "
+                             "'converse', 'identity' and 'triples'") from None
+        _require_int(count, "atom count")
+        converse, identity = _int_rows([converse, identity], "atom list")
+        return cls(count, converse, frozenset(identity),
+                   frozenset(_int_rows(triples, "triple")))
 
 
 def peircean_transforms(t, structure: AtomStructure) -> set:

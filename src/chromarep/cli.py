@@ -10,6 +10,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 
 from .algebra import Signature
 from .colouring import EdgeColouring, Level, verify
@@ -135,15 +136,12 @@ def cmd_construct(args, out):
     if isinstance(result, DelegatedToSearch):
         out.write(f"delegated to search: {result.reason}\n")
         outcome = search(sig, args.level, node_budget=_budget(args))
-        if outcome.status == "found":
-            _emit_colouring(outcome.colouring, sig, args, out)
-            return EXIT_OK
+        out.write(outcome.summary() + "\n")
         if outcome.status == "aborted":
-            out.write("search budget exhausted\n")
             return EXIT_BUDGET
-        out.write(f"no representation up to m={outcome.m_max}"
-                  f"{' (certified)' if outcome.complete_certificate else ''}\n")
-        return EXIT_NOT_CONSTRUCTIBLE
+        if outcome.colouring is None:
+            return EXIT_NOT_CONSTRUCTIBLE
+        result = outcome.colouring
     _emit_colouring(result, sig, args, out)
     return EXIT_OK
 
@@ -172,17 +170,10 @@ def cmd_search(args, out):
                      node_budget=_budget(args))
     for line in outcome.transcript_lines():
         out.write(line + "\n")
-    if outcome.status == "found":
-        out.write(f"found on m={outcome.colouring.m}\n")
+    out.write(outcome.summary() + "\n")
+    if outcome.colouring is not None:
         _emit_colouring(outcome.colouring, sig, args, out)
-        return EXIT_OK
-    if outcome.status == "aborted":
-        out.write("budget exhausted\n")
-        return EXIT_BUDGET
-    kind = ("certified nonexistent" if outcome.complete_certificate
-            else "none found (range-limited)")
-    out.write(f"{kind} up to m={outcome.m_max}\n")
-    return EXIT_OK
+    return EXIT_BUDGET if outcome.status == "aborted" else EXIT_OK
 
 
 def cmd_enumerate(args, out):
@@ -222,12 +213,9 @@ def cmd_table(args, out):
     for s in SIGNATURE_ORDER:
         cells = certify_summary_row(frozenset(s), range(1, args.max_n + 1),
                                     node_budget=budget)
-        label = "{" + ",".join(str(x) for x in s) + "}"
-        rows[label] = {
-            f"n={n}": {level.value: {"status": cell.status,
-                                     "detail": cell.detail}
-                       for (nn, level), cell in cells.items() if nn == n}
-            for n in range(1, args.max_n + 1)}
+        row = rows["{" + ",".join(str(x) for x in s) + "}"] = {}
+        for (n, level), cell in cells.items():
+            row.setdefault(f"n={n}", {})[level.value] = asdict(cell)
     out.write(json.dumps(rows, indent=2, sort_keys=True) + "\n")
     return EXIT_OK
 

@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from itertools import combinations
 
-from .algebra import (FORBIDDEN, MAX_WITNESSES, required_multisets,
-                      triangle_table)
+from .algebra import (FORBIDDEN, MAX_WITNESSES, _require_int,
+                      required_multisets, triangle_table)
 
 
 class Level(Enum):
@@ -41,11 +41,6 @@ def edge_index(i: int, j: int) -> int:
 def edge_list(m: int) -> list[tuple[int, int]]:
     """All edges of K_m in enumeration order."""
     return [(i, j) for j in range(m) for i in range(j)]
-
-
-def _require_int(value, what: str) -> None:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{what} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)

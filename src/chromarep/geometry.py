@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from math import isqrt
 
-from .algebra import MAX_WITNESSES, Signature, required_multisets
+from .algebra import (MAX_WITNESSES, Signature, _int_rows, _require_int,
+                      required_multisets)
 from .colouring import EdgeColouring, _colour_neighbours, triangle_scan
 
 
@@ -47,10 +48,17 @@ class LinearSpace:
 
     @classmethod
     def from_json(cls, text: str):
+        """Parse the JSON form; malformed input raises ValueError."""
         doc = json.loads(text)
-        sp = cls(doc["points"], tuple(frozenset(l) for l in doc["lines"]))
+        try:
+            points, lines = doc["points"], doc["lines"]
+        except (KeyError, TypeError):
+            raise ValueError("linear-space JSON needs 'points' and "
+                             "'lines'") from None
+        _require_int(points, "point count")
+        sp = cls(points, tuple(frozenset(l) for l in _int_rows(lines, "line")))
         if "blocks" in doc:
-            return sp, Parallelism(tuple(tuple(b) for b in doc["blocks"]))
+            return sp, Parallelism(_int_rows(doc["blocks"], "block"))
         return sp
 
 
@@ -104,7 +112,9 @@ def validate_parallelism(sp: LinearSpace, pw: Parallelism) -> ParallelismReport:
     if sorted(seen) != list(range(len(sp.lines))):
         report.not_a_partition = True
     for block in pw.blocks:
-        for i, j in combinations(sorted(block), 2):
+        # indices that name no line are already not_a_partition
+        named = sorted(i for i in block if 0 <= i < len(sp.lines))
+        for i, j in combinations(named, 2):
             if sp.lines[i] & sp.lines[j]:
                 report.crossing_pairs.append((i, j))
     report.valid = not (report.not_a_partition or report.crossing_pairs)
@@ -272,26 +282,17 @@ def drop_points(plane, dropped):
     new_index = {p: i for i, p in enumerate(keep)}
     d_frozen = frozenset(d_set)
 
-    new_lines = []
-    line_map = {}  # old line index -> new line index
-    for idx, line in enumerate(sp.lines):
-        trimmed = frozenset(new_index[p] for p in line - d_frozen)
-        line_map[idx] = len(new_lines)
-        new_lines.append(trimmed)
-
-    old_blocks = []
-    for block in pw.blocks:
-        kept = tuple(line_map[i] for i in block
-                     if len(sp.lines[i] & d_frozen) != 1)
-        old_blocks.append(kept)
-    new_blocks = []
-    for point in d_set:
-        pencil = tuple(line_map[i] for i, line in enumerate(sp.lines)
-                       if len(line & d_frozen) == 1 and point in line)
-        new_blocks.append(pencil)
-    out_sp = LinearSpace(len(keep), tuple(new_lines))
-    out_pw = Parallelism(tuple(old_blocks) + tuple(new_blocks))
-    return out_sp, out_pw
+    # every line keeps its index, less the deleted points
+    lines = tuple(frozenset(new_index[p] for p in line - d_frozen)
+                  for line in sp.lines)
+    old_blocks = tuple(tuple(i for i in block
+                             if len(sp.lines[i] & d_frozen) != 1)
+                       for block in pw.blocks)
+    new_blocks = tuple(tuple(i for i, line in enumerate(sp.lines)
+                             if len(line & d_frozen) == 1 and point in line)
+                       for point in d_set)
+    return (LinearSpace(len(keep), lines),
+            Parallelism(old_blocks + new_blocks))
 
 
 def colouring_from_parallelism(sp: LinearSpace, pw: Parallelism) -> EdgeColouring:

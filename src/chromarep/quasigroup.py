@@ -10,7 +10,7 @@ import json
 from dataclasses import dataclass, field
 from itertools import combinations, product
 
-from .algebra import Signature
+from .algebra import Signature, _int_rows, _require_int
 from .colouring import EdgeColouring, Level, verify
 
 
@@ -37,8 +37,15 @@ class Quasigroup:
 
     @classmethod
     def from_json(cls, text: str) -> "Quasigroup":
+        """Parse the JSON form; malformed input raises ValueError."""
         doc = json.loads(text)
-        return cls(doc["order"], tuple(tuple(r) for r in doc["table"]))
+        try:
+            order, table = doc["order"], doc["table"]
+        except (KeyError, TypeError):
+            raise ValueError("quasigroup JSON needs 'order' and "
+                             "'table'") from None
+        _require_int(order, "order")
+        return cls(order, _int_rows(table, "table row"))
 
 
 @dataclass

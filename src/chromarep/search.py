@@ -10,11 +10,13 @@ levels exhaustion is only a range-limited answer.
 
 from __future__ import annotations
 
+import json
 import time
 from dataclasses import dataclass, field
 
 from .algebra import FORBIDDEN, Signature, required_multisets, triangle_table
 from .colouring import EdgeColouring, Level, canonical_form, edge_list, verify
+from .constructions import NotConstructible, construct
 
 
 class BudgetExceeded(Exception):
@@ -40,8 +42,17 @@ class SearchOutcome:
     # nonexistence
     complete_certificate: bool = False
 
+    def summary(self) -> str:
+        """The verdict in one line; every front end words it this way."""
+        if self.status == "found":
+            return f"found on m={self.colouring.m}"
+        if self.status == "aborted":
+            return "budget exhausted"
+        kind = ("certified nonexistent" if self.complete_certificate
+                else "none found (range-limited)")
+        return f"{kind} up to m={self.m_max}"
+
     def transcript_lines(self):
-        import json
         for rec in self.per_m:
             yield json.dumps({"m": rec.m, "status": rec.status,
                               "nodes": rec.nodes,
@@ -165,11 +176,10 @@ def search(sig: Signature, level: Level, m_range=None, node_budget=None,
     range is a nonexistence certificate for the qualitative level only;
     budget exhaustion always reports "aborted", never nonexistence.
     """
-    lo, hi = m_range if m_range is not None else default_m_range(sig)
     default_lo, default_hi = default_m_range(sig)
+    lo, hi = m_range if m_range is not None else (default_lo, default_hi)
     budget = _Budget(node_budget)
     per_m = []
-    aborted = False
     for m in range(lo, hi + 1):
         start = time.perf_counter()
         if _trivially_empty(sig, level, m):
@@ -182,15 +192,12 @@ def search(sig: Signature, level: Level, m_range=None, node_budget=None,
         except BudgetExceeded:
             per_m.append(PerM(m, "aborted", budget.nodes - before,
                               time.perf_counter() - start))
-            aborted = True
-            break
+            return SearchOutcome("aborted", None, None, budget.nodes, per_m)
         per_m.append(PerM(m, "found" if hit else "exhausted",
                           budget.nodes - before,
                           time.perf_counter() - start))
         if hit:
             return SearchOutcome("found", hit, None, budget.nodes, per_m)
-    if aborted:
-        return SearchOutcome("aborted", None, None, budget.nodes, per_m)
     certificate = (level is Level.QUALITATIVE
                    and lo <= default_lo and hi >= default_hi)
     return SearchOutcome("exhausted", None, hi, budget.nodes, per_m,
@@ -234,36 +241,24 @@ def certify_summary_row(s_set, n_range, node_budget=None):
     For each colour count and level, reports how the verdict was obtained,
     cross-checking the construction dispatcher against the search.
     """
-    from .constructions import DelegatedToSearch, NotConstructible, construct
-
     cells = {}
     for n in n_range:
         sig = Signature(frozenset(s_set), n)
-        for level in (Level.FEEBLE, Level.QUALITATIVE, Level.STRONG):
+        for level in Level:
             result = construct(sig, level)
             if isinstance(result, EdgeColouring):
-                cells[(n, level)] = TableCell("Constructed",
-                                              f"m={result.m}")
-                continue
-            if isinstance(result, NotConstructible):
-                if result.nonexistent:
-                    cells[(n, level)] = TableCell("CertifiedNonexistent",
-                                                  result.reason)
+                cell = TableCell("Constructed", f"m={result.m}")
+            elif isinstance(result, NotConstructible):
+                cell = TableCell("CertifiedNonexistent" if result.nonexistent
+                                 else "OutOfScope", result.reason)
+            else:  # delegated to search
+                outcome = search(sig, level, node_budget=node_budget)
+                if outcome.status == "found":
+                    status = "FoundBySearch"
+                elif outcome.complete_certificate:
+                    status = "CertifiedNonexistent"
                 else:
-                    cells[(n, level)] = TableCell("OutOfScope", result.reason)
-                continue
-            assert isinstance(result, DelegatedToSearch)
-            outcome = search(sig, level, node_budget=node_budget)
-            if outcome.status == "found":
-                cells[(n, level)] = TableCell(
-                    "FoundBySearch", f"m={outcome.colouring.m}")
-            elif outcome.status == "exhausted" and outcome.complete_certificate:
-                cells[(n, level)] = TableCell(
-                    "CertifiedNonexistent", f"searched m<={outcome.m_max}")
-            elif outcome.status == "exhausted":
-                cells[(n, level)] = TableCell(
-                    "Unknown", f"no solution for m<={outcome.m_max} "
-                    "(range-limited, not a certificate)")
-            else:
-                cells[(n, level)] = TableCell("Unknown", "budget exhausted")
+                    status = "Unknown"
+                cell = TableCell(status, outcome.summary())
+            cells[(n, level)] = cell
     return cells

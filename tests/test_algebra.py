@@ -166,3 +166,15 @@ def test_atom_structure_json_round_trip():
     again = AtomStructure.from_json(text)
     assert again == st
     assert json.loads(text)["atom_count"] == 5
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"atom_count": 1, "converse": [3], "identity": [0], "triples": []},
+     "converse of atom 0 is no atom"),
+    ({"atom_count": 1, "converse": [0], "identity": [0], "triples": [5]},
+     "triple 5 is not a list"),
+    ({"atom_count": 1, "converse": [0], "identity": [0]}, "needs"),
+])
+def test_atom_structure_json_rejects_malformed(doc, message):
+    with pytest.raises(ValueError, match=message):
+        AtomStructure.from_json(json.dumps(doc))

@@ -6,6 +6,8 @@ import json
 import pytest
 
 from chromarep.cli import run
+from chromarep.colouring import Level
+from chromarep.search import certify_summary_row
 
 
 def run_cli(*argv):
@@ -170,6 +172,29 @@ def test_deep_searches_finish():
     code, out = run_cli("enumerate", "--s", "1", "--n", "15",
                         "--level", "feeble", "--m", "47")
     assert code == 0 and json.loads(out)["count"] == 0
+
+
+@pytest.mark.parametrize("s, n, level, budget, construct_code", [
+    ("1,2", 2, "qualitative", 2000, 0),   # found
+    ("1,2", 2, "qualitative", 5, 3),      # aborted
+    ("1,3", 3, "qualitative", 2000, 4),   # certified nonexistent
+    ("1,3", 2, "feeble", 2000, 4),        # range-limited
+])
+def test_one_verdict_wording(s, n, level, budget, construct_code):
+    # search, a delegating construct and a table cell word one outcome
+    # alike; 2000 nodes settle these cells and bound the rest of the row
+    argv = ["--s", s, "--n", str(n), "--level", level,
+            "--budget-nodes", str(budget)]
+    _, out = run_cli("search", *argv)
+    searched = next(line for line in out.splitlines()
+                    if not line.startswith('{"m": '))
+    code, out = run_cli("construct", *argv)
+    lines = out.splitlines()
+    assert code == construct_code
+    assert lines[0].startswith("delegated to search:")
+    cell = certify_summary_row(frozenset(int(x) for x in s.split(",")),
+                               [n], node_budget=budget)[(n, Level(level))]
+    assert searched == lines[1] == cell.detail
 
 
 def test_table():

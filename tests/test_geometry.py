@@ -66,6 +66,18 @@ def test_validate_parallelism_witnesses():
     assert validate_parallelism(sp, partial).not_a_partition
 
 
+def test_parallelism_naming_unknown_lines():
+    sp, _ = affine_plane(2)
+    for pw in (Parallelism(((0, 99),)),
+               Parallelism(((0, 1, -1), (2, 3), (4, 5)))):
+        report = validate_parallelism(sp, pw)
+        assert report.not_a_partition and not report.valid
+        with pytest.raises(ValueError):
+            colouring_from_parallelism(sp, pw)
+        with pytest.raises(ValueError):
+            check_ls5(sp, pw)
+
+
 def test_ls5_rejects_non_parallelisms():
     # crossing lines in one block, and blocks that miss lines: neither is a
     # parallelism, so there are no parallel classes to check
@@ -265,6 +277,17 @@ def test_space_json_round_trip():
     assert same_space((sp, pw), (sp2, pw2))
     bare = LinearSpace.from_json(sp.to_json())
     assert set(bare.lines) == set(sp.lines)
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"points": 3}', "needs 'points' and 'lines'"),
+    ('{"points": 3, "lines": [[0, 1], 7]}', "line 7 is not a list"),
+    ('{"points": "3", "lines": []}', "point count must be an integer"),
+    ('{"points": 3, "lines": [[0, 1, 2]], "blocks": [[0.5]]}', "integer"),
+])
+def test_space_json_rejects_malformed(text, message):
+    with pytest.raises(ValueError, match=message):
+        LinearSpace.from_json(text)
 
 
 def test_line_through_rejects_double_cover():

@@ -191,3 +191,12 @@ def test_quasigroup_from_colouring_rejects():
 def test_quasigroup_json_round_trip():
     q = standard_qn(7)
     assert Quasigroup.from_json(q.to_json()) == q
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"order": 2, "table": [1, 2]}', "table row 1 is not a list"),
+    ('{"order": 1}', "needs 'order' and 'table'"),
+])
+def test_quasigroup_json_rejects_malformed(text, message):
+    with pytest.raises(ValueError, match=message):
+        Quasigroup.from_json(text)
