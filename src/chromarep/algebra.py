@@ -188,26 +188,17 @@ def check_na_atom_structure(structure: AtomStructure) -> AtomStructureReport:
     Identity law: b = c iff some identity atom e has (e,b,c) consistent.
     Closure: the consistent triples are closed under Peircean transforms.
     """
-    report = AtomStructureReport(valid=True)
-
-    def note(bucket, total_attr, witness):
-        setattr(report, total_attr, getattr(report, total_attr) + 1)
-        if len(bucket) < MAX_WITNESSES:
-            bucket.append(witness)
-
     atoms = range(structure.atom_count)
-    for b in atoms:
-        for c in atoms:
-            holds = any((e, b, c) in structure.triples
-                        for e in structure.identity)
-            if holds != (b == c):
-                note(report.identity_violations, "identity_total", (b, c))
-    for t in structure.triples:
-        missing = peircean_transforms(t, structure) - structure.triples
-        if missing:
-            note(report.closure_violations, "closure_total", t)
-    report.valid = report.identity_total == 0 and report.closure_total == 0
-    return report
+    identity = [(b, c) for b in atoms for c in atoms
+                if any((e, b, c) in structure.triples
+                       for e in structure.identity) != (b == c)]
+    closure = [t for t in structure.triples
+               if peircean_transforms(t, structure) - structure.triples]
+    return AtomStructureReport(valid=not (identity or closure),
+                               identity_violations=identity[:MAX_WITNESSES],
+                               closure_violations=closure[:MAX_WITNESSES],
+                               identity_total=len(identity),
+                               closure_total=len(closure))
 
 
 def atom_mask(*atoms: int) -> int:

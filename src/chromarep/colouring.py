@@ -74,6 +74,12 @@ class EdgeColouring:
         return cls(m, n, cols)
 
     def colour(self, i: int, j: int) -> int:
+        """Colour of edge {i,j}; i and j must be distinct vertices in 0..m-1.
+
+        Not checked, as this is the innermost call of the triangle loops; a
+        negative vertex silently reads another edge, so functions that take
+        a vertex from their caller check its range first.
+        """
         return self.colours[edge_index(i, j)]
 
     def edges(self):
@@ -147,6 +153,8 @@ def classify_triangle(col: EdgeColouring, x: int, y: int, z: int) -> int:
     """Number of distinct colours on the sides of triangle {x,y,z}."""
     if len({x, y, z}) != 3:
         raise ValueError("triangle vertices must be distinct")
+    if not all(0 <= v < col.m for v in (x, y, z)):
+        raise ValueError(f"triangle {x, y, z} has a vertex out of range")
     return len({col.colour(x, y), col.colour(y, z), col.colour(x, z)})
 
 
@@ -276,6 +284,8 @@ def saturate(col: EdgeColouring, v: int, sig) -> EdgeColouring:
         raise ValueError("saturation argument only applies to S = {2}")
     if col.n != sig.n:
         raise ValueError("colour count mismatch")
+    if not 0 <= v < col.m:
+        raise ValueError(f"vertex {v} out of range")
     base = verify(col, sig, Level.FEEBLE)
     if base.forbidden_total:
         raise ValueError("input already contains a forbidden triangle")
@@ -284,18 +294,13 @@ def saturate(col: EdgeColouring, v: int, sig) -> EdgeColouring:
     if not missing:
         return col
 
-    cols = {(i, j): c for i, j, c in col.edges()}
+    # the twin's edges (w, m) close the edge order, so it appends one row
+    cols = list(col.colours)
     m = col.m
     for d in missing:
-        u = m
-        for w in range(m):
-            if w == v:
-                cols[(v, u)] = d
-            else:
-                cols[(min(w, u), max(w, u))] = cols[(min(w, v), max(w, v))]
+        cols += [d if w == v else cols[edge_index(w, v)] for w in range(m)]
         m += 1
-    out = EdgeColouring(m, col.n,
-                        tuple(cols[(i, j)] for i, j in edge_list(m)))
+    out = EdgeColouring(m, col.n, tuple(cols))
     assert chromatic_degree(out, v) == sig.n
     assert verify(out, sig, Level.FEEBLE).forbidden_total == 0
     return out

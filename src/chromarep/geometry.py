@@ -121,6 +121,13 @@ def validate_parallelism(sp: LinearSpace, pw: Parallelism) -> ParallelismReport:
     return report
 
 
+def _require_parallelism(sp: LinearSpace, pw: Parallelism) -> None:
+    if not validate_space(sp).valid:
+        raise ValueError("invalid linear space")
+    if not validate_parallelism(sp, pw).valid:
+        raise ValueError("invalid parallelism")
+
+
 @dataclass
 class Ls4Report:
     valid: bool
@@ -128,7 +135,11 @@ class Ls4Report:
 
 
 def check_ls4(sp: LinearSpace, pw: Parallelism) -> Ls4Report:
-    """Each parallel class must contain a line with at least 3 points."""
+    """Each parallel class must contain a line with at least 3 points.
+
+    Raises ValueError when the input is no linear space with a parallelism.
+    """
+    _require_parallelism(sp, pw)
     bad = [b for b, block in enumerate(pw.blocks)
            if not any(len(sp.lines[i]) >= 3 for i in block)]
     return Ls4Report(valid=not bad, blocks_without_long_line=bad)
@@ -236,20 +247,11 @@ def affine_plane(q: int):
     has one block per slope and one for the verticals.
     """
     add, mul = _field_tables(q)
-    lines = []
-    blocks = []
-    for s in range(q):
-        block = []
-        for b in range(q):
-            block.append(len(lines))
-            lines.append(frozenset(q * x + add[mul[s][x]][b] for x in range(q)))
-        blocks.append(tuple(block))
-    block = []
-    for c in range(q):
-        block.append(len(lines))
-        lines.append(frozenset(q * c + y for y in range(q)))
-    blocks.append(tuple(block))
-    return LinearSpace(q * q, tuple(lines)), Parallelism(tuple(blocks))
+    lines = [frozenset(q * x + add[mul[s][x]][b] for x in range(q))
+             for s in range(q) for b in range(q)]
+    lines += [frozenset(q * c + y for y in range(q)) for c in range(q)]
+    blocks = tuple(tuple(range(q * s, q * s + q)) for s in range(q + 1))
+    return LinearSpace(q * q, tuple(lines)), Parallelism(blocks)
 
 
 def drop_points(plane, dropped):
@@ -297,10 +299,7 @@ def drop_points(plane, dropped):
 
 def colouring_from_parallelism(sp: LinearSpace, pw: Parallelism) -> EdgeColouring:
     """Colour each point pair by the block of its line (1-based)."""
-    if not validate_space(sp).valid:
-        raise ValueError("invalid linear space")
-    if not validate_parallelism(sp, pw).valid:
-        raise ValueError("invalid parallelism")
+    _require_parallelism(sp, pw)
     through = sp.line_through()
     block_of = {}
     for b, block in enumerate(pw.blocks):

@@ -100,25 +100,21 @@ def three_cycle_condition(q: Quasigroup):
     if not validate(q).valid:
         raise ValueError("not a commutative idempotent quasigroup")
     n = q.order
-    witnesses = {}
-    ok = True
-    pre = {}
+    # every row is Latin, so u*v = x has one solution v = solve[u][x]; u and
+    # x fix v, v and y fix w, and the least u whose cycle closes wins
+    solve = [[0] * n for _ in range(n)]
     for u, v in product(range(n), repeat=2):
-        pre.setdefault((q.mul(u, v), u), []).append(v)
+        solve[u][q.mul(u, v)] = v
+    witnesses = {}
     for x, y, z in combinations(range(n), 3):
-        found = None
+        witnesses[(x, y, z)] = None
         for u in range(n):
-            if found:
+            v = solve[u][x]
+            w = solve[v][y]
+            if q.mul(w, u) == z:
+                witnesses[(x, y, z)] = (u, v, w)
                 break
-            for v in pre.get((x, u), []):
-                ws = [w for w in pre.get((y, v), []) if q.mul(w, u) == z]
-                if ws:
-                    found = (u, v, min(ws))
-                    break
-        witnesses[(x, y, z)] = found
-        if found is None:
-            ok = False
-    return ok, witnesses
+    return all(witnesses.values()), witnesses
 
 
 def lambda1(q: Quasigroup) -> EdgeColouring:
@@ -136,18 +132,9 @@ def lambda2(q: Quasigroup) -> EdgeColouring:
     exactly lambda1, so every original vertex becomes chromatically
     saturated.
     """
-    if not validate(q).valid:
-        raise ValueError("not a commutative idempotent quasigroup")
     n = q.order
-
-    def colour_of(i, j):
-        if j == n:
-            return i + 1
-        if i == n:
-            return j + 1
-        return q.mul(i, j) + 1
-
-    return EdgeColouring.from_function(n + 1, n, colour_of)
+    # the hub's n edges (i, n) close the edge order
+    return EdgeColouring(n + 1, n, lambda1(q).colours + tuple(range(1, n + 1)))
 
 
 def quasigroup_from_colouring(col: EdgeColouring) -> Quasigroup:
@@ -167,19 +154,13 @@ def quasigroup_from_colouring(col: EdgeColouring) -> Quasigroup:
     if not verify(col, sig, Level.QUALITATIVE).passed:
         raise ValueError("colouring is not a qualitative trichromatic "
                          "representation")
-    hub = col.m - 1
-    name = {}  # vertex -> quasigroup element
-    for w in range(col.m):
-        if w != hub:
-            name[w] = col.colour(hub, w) - 1
-    table = [[0] * n for _ in range(n)]
-    for i in range(n):
-        table[i][i] = i
-    for v, w in combinations(range(col.m), 2):
-        if hub in (v, w):
-            continue
-        i, j = name[v], name[w]
-        table[i][j] = table[j][i] = col.colour(v, w) - 1
+    # the hub's edges close the edge order: vertex i meets it in colour
+    # name[i] + 1, and the edges among the other n vertices come first
+    name = [c - 1 for c in col.colours[-n:]]
+    table = [[i] * n for i in range(n)]  # idempotent diagonal
+    for v, w, c in col.edges():
+        if w < n:
+            table[name[v]][name[w]] = table[name[w]][name[v]] = c - 1
     q = Quasigroup(n, tuple(tuple(r) for r in table))
     assert validate(q).valid
     return q

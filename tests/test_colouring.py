@@ -53,6 +53,11 @@ def test_classify_triangle():
     assert classify_triangle(col, 0, 1, 2) == 3
     with pytest.raises(ValueError):
         classify_triangle(col, 0, 1, 1)
+    # vertex -1 would read edge {0,1} through the edge enumeration
+    with pytest.raises(ValueError):
+        classify_triangle(pentagon(), -1, 0, 1)
+    with pytest.raises(ValueError):
+        classify_triangle(pentagon(), 0, 1, 5)
 
 
 def test_required_multisets():
@@ -205,6 +210,17 @@ def test_saturate_chain_vertex():
     assert out.colour(3, 1) == chain.colour(2, 1)
     assert verify(out, s, Level.FEEBLE).passed
     assert chromatic_degree(out, 2) == 2
+    for v in (-1, 3, 5):    # no such vertex
+        with pytest.raises(ValueError):
+            saturate(chain, v, s)
+    # vertex 3 of the 3-colour chain misses colours 1 and 2, so two twins
+    # are added; the edge between the twins copies the first twin's edge to 3
+    s = sig((2,), 3)
+    out = saturate(chain_colouring(3), 3, s)
+    assert out.m == 6
+    assert (out.colour(3, 4), out.colour(3, 5), out.colour(4, 5)) == (1, 2, 1)
+    assert verify(out, s, Level.FEEBLE).passed
+    assert chromatic_degree(out, 3) == 3
 
 
 def test_saturate_noop_when_saturated():

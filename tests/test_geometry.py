@@ -74,8 +74,9 @@ def test_parallelism_naming_unknown_lines():
         assert report.not_a_partition and not report.valid
         with pytest.raises(ValueError):
             colouring_from_parallelism(sp, pw)
-        with pytest.raises(ValueError):
-            check_ls5(sp, pw)
+        for check in (check_ls4, check_ls5):
+            with pytest.raises(ValueError):
+                check(sp, pw)
 
 
 def test_ls5_rejects_non_parallelisms():
@@ -84,8 +85,9 @@ def test_ls5_rejects_non_parallelisms():
     sp, _ = affine_plane(2)
     for bad in (Parallelism(((0, 2), (1, 3), (4, 5))),
                 Parallelism(((0,), (1,)))):
-        with pytest.raises(ValueError):
-            check_ls5(sp, bad)
+        for check in (check_ls4, check_ls5):
+            with pytest.raises(ValueError):
+                check(sp, bad)
 
 
 def test_ls4_ls5_affine_plane():

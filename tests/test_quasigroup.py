@@ -91,15 +91,35 @@ def test_three_cycle_condition_closed_form():
                     assert q.mul(v, w) == j
 
 
+def fano_quasigroup():
+    """Steiner quasigroup of the Fano plane: x*y is the third point of the
+    line through x and y."""
+    table = [[i] * 7 for i in range(7)]
+    for i in range(7):
+        a, b, c = i, (i + 1) % 7, (i + 3) % 7
+        for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
+            table[x][y] = table[y][x] = z
+    return Quasigroup(7, tuple(tuple(r) for r in table))
+
+
 def test_three_cycle_witness_is_lexicographically_least():
-    ok, witnesses = three_cycle_condition(standard_qn(5))
-    q = standard_qn(5)
-    for (x, y, z), got in witnesses.items():
-        brute = min((u, v, w)
-                    for u in range(5) for v in range(5) for w in range(5)
-                    if q.mul(u, v) == x and q.mul(v, w) == y
-                    and q.mul(w, u) == z)
-        assert got == brute
+    cases = [standard_qn(n) for n in (3, 5, 7)] + [fano_quasigroup()]
+    for q in cases:
+        ok, witnesses = three_cycle_condition(q)
+        n = q.order
+        for (x, y, z), got in witnesses.items():
+            brute = min(((u, v, w)
+                         for u in range(n) for v in range(n)
+                         for w in range(n)
+                         if q.mul(u, v) == x and q.mul(v, w) == y
+                         and q.mul(w, u) == z), default=None)
+            assert got == brute
+        assert ok == (None not in witnesses.values())
+    # the Fano quasigroup fails the condition on 28 of its 35 triples
+    ok, witnesses = three_cycle_condition(fano_quasigroup())
+    assert validate(fano_quasigroup()).valid and not ok
+    assert list(witnesses.values()).count(None) == 28
+    assert len(witnesses) == 35
 
 
 def test_three_cycle_rejects_invalid():
