@@ -109,6 +109,9 @@ class AtomStructure:
                 raise ValueError(f"converse of atom {a} is no atom")
             if self.converse[self.converse[a]] != a:
                 raise ValueError(f"converse is not self-inverse at atom {a}")
+        for e in self.identity:
+            if not 0 <= e < self.atom_count:
+                raise ValueError(f"identity atom {e} is no atom")
         for t in self.triples:
             if len(t) != 3 or not all(0 <= a < self.atom_count for a in t):
                 raise ValueError(f"triple {t} out of range")

@@ -2,10 +2,14 @@
 isomorphism.
 
 The search colours the edges of K_m one at a time in the fixed enumeration
-order, pruning as soon as a completed triangle has a forbidden type.  For
-the qualitative level the default vertex range [2, 3(n+1)] is sound and
-complete, so full exhaustion is a nonexistence certificate; for the other
-levels exhaustion is only a range-limited answer.
+order, taking colours in first-occurrence order (a triangle's consistency
+depends only on how many distinct colours it has, so no iso-class is lost).
+It prunes when a completed triangle has a forbidden type, and on entering a
+position by one bound: too few edges left for surjectivity, or too few
+triangles for the missing multisets.  Exhausting the default range
+[2, 3(n+1)] is reported as a qualitative nonexistence certificate; that
+rests on the range being complete, which is unproved (ROADMAP.md, item 1).
+For the other levels exhaustion is only a range-limited answer.
 """
 
 from __future__ import annotations
@@ -60,7 +64,8 @@ class SearchOutcome:
 
 
 def default_m_range(sig: Signature) -> tuple[int, int]:
-    """[2, 3 |atoms|]: complete for qualitative existence."""
+    """[2, 3 |atoms|]; qualitative certificates assume, unproved, that it
+    is complete for qualitative existence."""
     return 2, 3 * (sig.n + 1)
 
 
@@ -75,8 +80,7 @@ class _Budget:
             raise BudgetExceeded
 
 
-def _search_m(sig: Signature, level: Level, m: int, budget: _Budget,
-              break_colour_symmetry=True):
+def _search_m(sig: Signature, level: Level, m: int, budget: _Budget):
     """Depth-first search over colourings of K_m.
 
     Yields every solution, in depth-first order.
@@ -90,7 +94,7 @@ def _search_m(sig: Signature, level: Level, m: int, budget: _Budget,
     # triangles completed by each edge: (i, j) closes {k, i, j} for k < i
     closures = [[(i * (i - 1) // 2 + k, j * (j - 1) // 2 + k)
                  for k in range(i)] for i, j in edges]
-    # triangles still open after assigning position idx
+    # triangles still open before assigning position idx
     remaining_triangles = [0] * (total + 1)
     for idx in range(total - 1, -1, -1):
         remaining_triangles[idx] = remaining_triangles[idx + 1] + len(closures[idx])
@@ -100,14 +104,14 @@ def _search_m(sig: Signature, level: Level, m: int, budget: _Budget,
     missing = len(realized_count)
     used = 0
 
-    # yields once per admissible colour of position idx, with it applied
+    # yields once per admissible colour of position idx, with it applied;
+    # the one bound: surjectivity or the missing multisets unreachable
     def extend(idx):
         nonlocal missing, used
-        # surjectivity unreachable?
-        if used + (total - idx) < n:
+        if used + (total - idx) < n or (
+                need_multisets and missing > remaining_triangles[idx]):
             return
-        top = min(n, used + 1) if break_colour_symmetry else n
-        for c in range(1, top + 1):
+        for c in range(1, min(n, used + 1) + 1):
             newly = []
             for e1, e2 in closures[idx]:
                 k = table[c][colours[e1]][colours[e2]]
@@ -124,9 +128,7 @@ def _search_m(sig: Signature, level: Level, m: int, budget: _Budget,
                     if realized_count[k] == 0:
                         missing -= 1
                     realized_count[k] += 1
-                if not (need_multisets
-                        and missing > remaining_triangles[idx + 1]):
-                    yield
+                yield
                 for k in newly:
                     realized_count[k] -= 1
                     if realized_count[k] == 0:
@@ -144,7 +146,7 @@ def _search_m(sig: Signature, level: Level, m: int, budget: _Budget,
                 stack.append(gen)
                 gen = extend(len(stack))
                 break
-            if used != n or (need_multisets and missing):
+            if used != n or (need_multisets and missing):  # bound at total
                 continue
             cand = EdgeColouring(m, n, tuple(colours))
             report = verify(cand, sig, level)  # independent soundness check
@@ -157,19 +159,8 @@ def _search_m(sig: Signature, level: Level, m: int, budget: _Budget,
             gen = stack.pop() if stack else None
 
 
-def _trivially_empty(sig: Signature, level: Level, m: int) -> bool:
-    """Sound skips: too few edges for surjectivity, or too few triangles
-    for the required multisets."""
-    if m * (m - 1) // 2 < sig.n:
-        return True
-    if level is not Level.FEEBLE:
-        if m * (m - 1) * (m - 2) // 6 < len(required_multisets(sig)):
-            return True
-    return False
-
-
-def search(sig: Signature, level: Level, m_range=None, node_budget=None,
-           break_colour_symmetry=True) -> SearchOutcome:
+def search(sig: Signature, level: Level, m_range=None,
+           node_budget=None) -> SearchOutcome:
     """Look for a representation of the signature at the given level.
 
     Vertex counts are tried in ascending order.  Exhausting the default
@@ -181,23 +172,19 @@ def search(sig: Signature, level: Level, m_range=None, node_budget=None,
     budget = _Budget(node_budget)
     per_m = []
     for m in range(lo, hi + 1):
-        start = time.perf_counter()
-        if _trivially_empty(sig, level, m):
-            per_m.append(PerM(m, "skipped", 0, 0.0))
-            continue
-        before = budget.nodes
+        start, before = time.perf_counter(), budget.nodes
         try:
-            solutions = _search_m(sig, level, m, budget, break_colour_symmetry)
-            hit = next(solutions, None)
+            hit = next(_search_m(sig, level, m, budget), None)
+            # edge (0, 1) closes no triangle, so a K_m that passes the bound
+            # at position 0 ticks colour 1 there: no node means "skipped"
+            status = ("found" if hit else
+                      "exhausted" if budget.nodes > before else "skipped")
         except BudgetExceeded:
-            per_m.append(PerM(m, "aborted", budget.nodes - before,
-                              time.perf_counter() - start))
-            return SearchOutcome("aborted", None, None, budget.nodes, per_m)
-        per_m.append(PerM(m, "found" if hit else "exhausted",
-                          budget.nodes - before,
+            hit, status = None, "aborted"
+        per_m.append(PerM(m, status, budget.nodes - before,
                           time.perf_counter() - start))
-        if hit:
-            return SearchOutcome("found", hit, None, budget.nodes, per_m)
+        if status in ("found", "aborted"):
+            return SearchOutcome(status, hit, None, budget.nodes, per_m)
     certificate = (level is Level.QUALITATIVE
                    and lo <= default_lo and hi >= default_hi)
     return SearchOutcome("exhausted", None, hi, budget.nodes, per_m,
@@ -217,13 +204,12 @@ def enumerate_representations(sig: Signature, level: Level, m: int,
     budget = _Budget(node_budget)
     partial = False
     canon = {}
-    if not _trivially_empty(sig, level, m):
-        try:
-            for col in _search_m(sig, level, m, budget):
-                c = canonical_form(col)
-                canon[c.colours] = c
-        except BudgetExceeded:
-            partial = True
+    try:
+        for col in _search_m(sig, level, m, budget):
+            c = canonical_form(col)
+            canon[c.colours] = c
+    except BudgetExceeded:
+        partial = True
     ordered = [canon[key] for key in sorted(canon)]
     return ordered, partial
 

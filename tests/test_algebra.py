@@ -174,6 +174,8 @@ def test_atom_structure_json_round_trip():
     ({"atom_count": 1, "converse": [0], "identity": [0], "triples": [5]},
      "triple 5 is not a list"),
     ({"atom_count": 1, "converse": [0], "identity": [0]}, "needs"),
+    ({"atom_count": 1, "converse": [0], "identity": [-1], "triples": []},
+     "identity atom -1 is no atom"),
 ])
 def test_atom_structure_json_rejects_malformed(doc, message):
     with pytest.raises(ValueError, match=message):

@@ -70,6 +70,16 @@ def test_verify_rejects_malformed_and_mismatched_files(tmp_path):
                         "--level", "qualitative", "--in", str(target))
     assert code == 1 and "differs from --s/--n" in out
     doc = json.loads(target.read_text())
+    doc["signature"]["s"] = [3, 2]
+    target.write_text(json.dumps(doc))
+    code, out = run_cli("verify", "--s", "2,3", "--n", "3",
+                        "--level", "qualitative", "--in", str(target))
+    assert code == 0, out
+    doc["signature"]["s"] = [[3], 2]
+    target.write_text(json.dumps(doc))
+    code, out = run_cli("verify", "--s", "2,3", "--n", "3",
+                        "--level", "qualitative", "--in", str(target))
+    assert code == 1 and "differs from --s/--n" in out
     doc["edges"][0][1] = 99
     target.write_text(json.dumps(doc))
     code, out = run_cli("verify", "--s", "2,3", "--n", "3",
@@ -149,8 +159,9 @@ def test_witness():
     assert code == 0
     doc = json.loads(out)
     assert doc["colours"] == {"xy": 1, "xz": 2, "yz": 3}
-    code, _ = run_cli("witness", "--walecki-n", "3", "--triple", "1,2")
+    code, out = run_cli("witness", "--walecki-n", "3", "--triple", "1,2")
     assert code == 1
+    assert out == "error: triple must be three comma-separated colours\n"
     # reads three edges by the colour rule, without building K_2000000
     code, out = run_cli("witness", "--walecki-n", "1000000",
                         "--triple", "1,2,999999")

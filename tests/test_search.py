@@ -1,5 +1,7 @@
 """Exhaustive search, enumeration and the summary-table cross-check."""
 
+from itertools import product
+
 import pytest
 
 from chromarep.algebra import Signature
@@ -98,27 +100,45 @@ def test_search_deterministic():
     assert a.nodes == b.nodes
 
 
-def test_symmetry_breaking_safety():
-    # same existence answers and canonical sets with the optimization off
-    for s, n in [((2,), 2), ((3,), 2), ((1, 2), 2), ((2, 3), 2)]:
-        fast = search(sig(s, n), Level.QUALITATIVE)
-        slow = search(sig(s, n), Level.QUALITATIVE,
-                      break_colour_symmetry=False)
-        assert fast.status == slow.status
-        for m in (3, 4, 5):
-            if m > 3 * (n + 1):
-                continue
-            a, _ = enumerate_representations(sig(s, n), Level.QUALITATIVE, m)
-            import sys
-            import chromarep.search  # noqa: F401  (module, not the function)
-            srch = sys.modules["chromarep.search"]
-            raw = []
-            budget = srch._Budget(None)
-            if not srch._trivially_empty(sig(s, n), Level.QUALITATIVE, m):
-                raw = list(srch._search_m(sig(s, n), Level.QUALITATIVE, m,
-                                          budget, break_colour_symmetry=False))
-            b = {canonical_form(c).colours for c in raw}
-            assert {c.colours for c in a} == b, (s, n, m)
+BRUTE_FORCE_CASES = [
+    ((2,), 2, Level.QUALITATIVE, 5), ((1, 2), 2, Level.QUALITATIVE, 5),
+    ((2, 3), 2, Level.QUALITATIVE, 5), ((3,), 2, Level.QUALITATIVE, 4),
+    ((3,), 3, Level.QUALITATIVE, 3), ((3,), 3, Level.QUALITATIVE, 4),
+    ((2, 3), 3, Level.FEEBLE, 4), ((1, 3), 2, Level.FEEBLE, 5),
+    ((1, 2), 2, Level.STRONG, 5),
+]
+
+
+@pytest.mark.parametrize(
+    "s, n, level, m", BRUTE_FORCE_CASES,
+    ids=[f"{''.join(map(str, s))}-n{n}-{level.value}-m{m}"
+         for s, n, level, m in BRUTE_FORCE_CASES])
+def test_symmetry_breaking_safety(s, n, level, m):
+    # first-occurrence colour order loses no iso-class: the reference runs
+    # every colouring of K_m through verify, independently of the search
+    brute = set()
+    for colours in product(range(1, n + 1), repeat=m * (m - 1) // 2):
+        col = EdgeColouring(m, n, colours)
+        if verify(col, sig(s, n), level).passed:
+            brute.add(canonical_form(col).colours)
+    found, partial = enumerate_representations(sig(s, n), level, m)
+    assert not partial
+    assert [c.colours for c in found] == sorted(brute)
+
+
+def test_too_small_k_m_visits_no_node():
+    outcome = search(sig((2,), 3), Level.QUALITATIVE, m_range=(2, 4),
+                     node_budget=0)
+    assert outcome.summary() == "none found (range-limited) up to m=4"
+    assert [(rec.m, rec.status, rec.nodes) for rec in outcome.per_m] == [
+        (2, "skipped", 0), (3, "skipped", 0), (4, "skipped", 0)]
+    assert enumerate_representations(sig((2,), 3), Level.QUALITATIVE, 4,
+                                     node_budget=0) == ([], False)
+    outcome = search(sig((1,), 2), Level.FEEBLE, m_range=(2, 3),
+                     node_budget=0)
+    assert outcome.status == "aborted" and outcome.nodes == 1
+    assert [(rec.m, rec.status, rec.nodes) for rec in outcome.per_m] == [
+        (2, "skipped", 0), (3, "aborted", 1)]
 
 
 def test_enumerate_k4_matchings_unique():
