@@ -63,14 +63,16 @@ class Signature:
 
 
 def required_multisets(sig) -> list[tuple[int, int, int]]:
-    """Sorted proper-colour multisets a qualitative representation must realise."""
-    out = []
-    for a in range(1, sig.n + 1):
-        for b in range(a, sig.n + 1):
-            for c in range(b, sig.n + 1):
-                if len({a, b, c}) in sig.s_set:
-                    out.append((a, b, c))
-    return out
+    """Sorted proper-colour multisets a qualitative representation must
+    realise, as a fresh list."""
+    return list(_multisets(sig))
+
+
+@cache
+def _multisets(sig) -> tuple:
+    return tuple((a, b, c) for a in range(1, sig.n + 1)
+                 for b in range(a, sig.n + 1) for c in range(b, sig.n + 1)
+                 if len({a, b, c}) in sig.s_set)
 
 
 FORBIDDEN = None
@@ -81,11 +83,23 @@ def triangle_table(sig) -> tuple:
     """``table[a][b][c]`` is ``FORBIDDEN`` when a triangle with side colours
     a, b, c has a forbidden type (or a colour is 0), and otherwise the index
     of its sorted colour multiset in ``required_multisets(sig)``."""
-    ids = {t: k for k, t in enumerate(required_multisets(sig))}
+    ids = {t: k for k, t in enumerate(_multisets(sig))}
     colours = range(sig.n + 1)
     return tuple(tuple(tuple(ids.get(tuple(sorted((a, b, c))), FORBIDDEN)
                              for c in colours) for b in colours)
                  for a in colours)
+
+
+@cache
+def witness_pairs(sig) -> tuple:
+    """``pairs[c]`` lists the proper colours (a, b), a-major, with (a, b, c)
+    consistent: the pairs a strong representation must witness on every
+    edge of colour c.  ``pairs[0]`` is empty."""
+    table = triangle_table(sig)
+    colours = range(1, sig.n + 1)
+    return tuple(tuple((a, b) for a in colours for b in colours
+                       if table[a][b][c] is not FORBIDDEN)
+                 for c in range(sig.n + 1))
 
 
 @dataclass(frozen=True)

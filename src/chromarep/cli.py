@@ -147,13 +147,17 @@ def cmd_construct(args, out):
 
 
 def _names_signature(declared, sig) -> bool:
-    """True when a file's "signature" entry names sig; s in any order."""
+    """True when a file's "signature" entry names sig; s in any order.
+
+    Each entry is type-checked before any set is built: in a set, 2.0 and
+    True collapse onto the ints 2 and 1.
+    """
     try:
-        s = set(declared["s"])
-        return (all(type(x) is int for x in s | {declared["n"]})
-                and s == sig.s_set and declared["n"] == sig.n)
+        s, n = list(declared["s"]), declared["n"]
     except (KeyError, TypeError):
         return False
+    return (all(type(x) is int for x in s + [n])
+            and set(s) == sig.s_set and n == sig.n)
 
 
 def cmd_verify(args, out):

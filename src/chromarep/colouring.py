@@ -12,10 +12,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import combinations
 
-from .algebra import (FORBIDDEN, MAX_WITNESSES, _require_int,
-                      required_multisets, triangle_table)
+from .algebra import (FORBIDDEN, MAX_WITNESSES, _multisets, _require_int,
+                      triangle_table, witness_pairs)
 
 
 class Level(Enum):
@@ -76,9 +75,10 @@ class EdgeColouring:
     def colour(self, i: int, j: int) -> int:
         """Colour of edge {i,j}; i and j must be distinct vertices in 0..m-1.
 
-        Not checked, as this is the innermost call of the triangle loops; a
-        negative vertex silently reads another edge, so functions that take
-        a vertex from their caller check its range first.
+        Not checked: a negative vertex silently reads another edge, so
+        functions that take a vertex from their caller check its range
+        first.  Readers at triangle scale decode the colouring once with
+        ``colour_rows`` instead of calling this per side.
         """
         return self.colours[edge_index(i, j)]
 
@@ -111,9 +111,11 @@ class EdgeColouring:
         _require_int(m, "vertex count")
         _require_int(n, "colour count")
         declared = doc.get("signature")
-        if isinstance(declared, dict) and declared.get("n", n) != n:
-            raise ValueError(f"'colours' is {n} but the signature's n is "
-                             f"{declared['n']!r}")
+        if isinstance(declared, dict) and "n" in declared:
+            _require_int(declared["n"], "the signature's n")
+            if declared["n"] != n:
+                raise ValueError(f"'colours' is {n} but the signature's n "
+                                 f"is {declared['n']!r}")
         if not isinstance(edges, list) or len(edges) != m * (m - 1) // 2:
             raise ValueError("edge list does not cover K_m")
         cols = [None] * len(edges)
@@ -188,33 +190,44 @@ class VerificationReport:
         return f"{self.level_requested.value}: FAIL ({'; '.join(bits)})"
 
 
-def _colour_neighbours(col: EdgeColouring):
-    """neigh[v][c] = set of w with colour(v,w) = c."""
-    neigh = [[set() for _ in range(col.n + 1)] for _ in range(col.m)]
-    for i, j, c in col.edges():
-        neigh[i][c].add(j)
-        neigh[j][c].add(i)
-    return neigh
+def colour_rows(col: EdgeColouring) -> list[list[int]]:
+    """The colour matrix: ``rows[v][w]`` is the colour of {v, w}, and 0 on
+    the diagonal.  Every triangle-scale reader works on it."""
+    m = col.m
+    rows = [[0] * m for _ in range(m)]
+    colours = iter(col.colours)
+    for j in range(1, m):
+        row_j = rows[j]
+        for i in range(j):
+            rows[i][j] = row_j[i] = next(colours)
+    return rows
 
 
-def triangle_scan(col: EdgeColouring, sig):
-    """One pass over the triangles of ``col`` in ``combinations`` order.
+def triangle_scan(rows, sig):
+    """One pass over the triangles of the colour matrix ``rows`` in
+    ``combinations`` order.
 
     Returns (forbidden total, the first ``MAX_WITNESSES`` forbidden
     (vertex triple, colour triple) pairs, first), where ``first[k]`` is the
     first vertex triple realising ``required_multisets(sig)[k]``.
     """
     table = triangle_table(sig)
+    m = len(rows)
     total, witnesses, first = 0, [], {}
-    for x, y, z in combinations(range(col.m), 3):
-        a, b, c = col.colour(x, y), col.colour(y, z), col.colour(x, z)
-        k = table[a][b][c]
-        if k is FORBIDDEN:
-            total += 1
-            if len(witnesses) < MAX_WITNESSES:
-                witnesses.append(((x, y, z), (a, b, c)))
-        elif k not in first:
-            first[k] = (x, y, z)
+    for x in range(m):
+        row_x = rows[x]
+        for y in range(x + 1, m):
+            row_y = rows[y]
+            table_xy = table[row_x[y]]
+            for z in range(y + 1, m):
+                k = table_xy[row_y[z]][row_x[z]]
+                if k is FORBIDDEN:
+                    total += 1
+                    if len(witnesses) < MAX_WITNESSES:
+                        witnesses.append(((x, y, z),
+                                          (row_x[y], row_y[z], row_x[z])))
+                elif k not in first:
+                    first[k] = (x, y, z)
     return total, witnesses, first
 
 
@@ -231,33 +244,41 @@ def verify(col: EdgeColouring, sig, level: Level) -> VerificationReport:
         raise ValueError(f"colouring has {col.n} colours, signature wants {sig.n}")
     report = VerificationReport(level_requested=level, passed=False,
                                 surjective=len(col.used_colours()) == sig.n)
+    rows = colour_rows(col)
     (report.forbidden_total, report.forbidden_witnesses,
-     realized) = triangle_scan(col, sig)
+     realized) = triangle_scan(rows, sig)
 
     if level is not Level.FEEBLE:
-        report.missing_required = [t for k, t in
-                                   enumerate(required_multisets(sig))
+        report.missing_required = [t for k, t in enumerate(_multisets(sig))
                                    if k not in realized]
 
     if level is Level.STRONG:
-        table = triangle_table(sig)
-        neigh = _colour_neighbours(col)
-        colours = range(1, sig.n + 1)
-        consistent_pairs = [[(a, b) for a in colours for b in colours
-                             if table[a][b][c] is not FORBIDDEN]
-                            for c in range(sig.n + 1)]
-        for v in range(col.m):
-            for a in colours:
-                if not neigh[v][a]:
+        failures = report.strong_failures
+        # neigh[v][c]: bitmask of the w with colour(v, w) = c (v itself
+        # sits in colour 0)
+        neigh = []
+        for row in rows:
+            masks = [0] * (sig.n + 1)
+            for w, c in enumerate(row):
+                masks[c] |= 1 << w
+            neigh.append(masks)
+        for v, masks in enumerate(neigh):
+            for a in range(1, sig.n + 1):
+                if not masks[a]:
                     report.strong_total += 1
-                    if len(report.strong_failures) < MAX_WITNESSES:
-                        report.strong_failures.append(((v, v), (a, a, 0)))
-        for i, j, c in col.edges():
-            for a, b in consistent_pairs[c]:
-                if not (neigh[i][a] & neigh[j][b]):
-                    report.strong_total += 1
-                    if len(report.strong_failures) < MAX_WITNESSES:
-                        report.strong_failures.append(((i, j), (a, b, c)))
+                    if len(failures) < MAX_WITNESSES:
+                        failures.append(((v, v), (a, a, 0)))
+        pairs = witness_pairs(sig)
+        for j in range(1, col.m):
+            row_j, neigh_j = rows[j], neigh[j]
+            for i in range(j):
+                neigh_i = neigh[i]
+                c = row_j[i]
+                for a, b in pairs[c]:
+                    if not neigh_i[a] & neigh_j[b]:
+                        report.strong_total += 1
+                        if len(failures) < MAX_WITNESSES:
+                            failures.append(((i, j), (a, b, c)))
 
     report.passed = (report.surjective and report.forbidden_total == 0
                      and not report.missing_required
@@ -314,6 +335,7 @@ def canonical_form(col: EdgeColouring) -> EdgeColouring:
     code comparable before the ordering is complete.  Idempotent.
     """
     m = col.m
+    rows = colour_rows(col)
     # above every code, whose colours are renamed into 1..n; the first
     # complete ordering the search reaches is the identity
     best = [col.n + 1]
@@ -328,10 +350,11 @@ def canonical_form(col: EdgeColouring) -> EdgeColouring:
         for v in range(m):
             if v in order:
                 continue
+            row = rows[v]
             new_code = list(code)
             new_rename = dict(rename)
-            for i in range(k):
-                c = col.colour(order[i], v)
+            for u in order:
+                c = row[u]
                 if c not in new_rename:
                     new_rename[c] = len(new_rename) + 1
                 new_code.append(new_rename[c])

@@ -16,7 +16,7 @@ from math import isqrt
 
 from .algebra import (MAX_WITNESSES, Signature, _int_rows, _require_int,
                       required_multisets)
-from .colouring import EdgeColouring, _colour_neighbours, triangle_scan
+from .colouring import EdgeColouring, colour_rows, triangle_scan
 
 
 @dataclass(frozen=True)
@@ -163,7 +163,8 @@ def check_ls5(sp: LinearSpace, pw: Parallelism) -> Ls5Report:
     input is no linear space with a parallelism.
     """
     sig = Signature(frozenset({1, 3}), len(pw.blocks))
-    _, _, first = triangle_scan(colouring_from_parallelism(sp, pw), sig)
+    _, _, first = triangle_scan(
+        colour_rows(colouring_from_parallelism(sp, pw)), sig)
     report = Ls5Report(valid=True)
     for k, (a, b, c) in enumerate(required_multisets(sig)):
         if not a < b < c:
@@ -320,20 +321,21 @@ def linear_space_from_colouring(col: EdgeColouring):
     the lines and the classes the parallel blocks.
     """
     sig = Signature(frozenset({1, 3}), col.n)
-    if triangle_scan(col, sig)[0]:
+    rows = colour_rows(col)
+    if triangle_scan(rows, sig)[0]:
         raise ValueError("colouring has a dichromatic triangle")
     if len(col.used_colours()) != col.n:
         raise ValueError("colouring does not use every colour")
-    neigh = _colour_neighbours(col)
     lines = []
     blocks = []
     for c in range(1, col.n + 1):
         block = []
-        for v in range(col.m):
+        for v, row in enumerate(rows):
             # the line through v in colour c, listed at its least point
-            if neigh[v][c] and v < min(neigh[v][c]):
+            line = [w for w, d in enumerate(row) if d == c]
+            if line and v < line[0]:
                 block.append(len(lines))
-                lines.append(frozenset(neigh[v][c] | {v}))
+                lines.append(frozenset(line + [v]))
         blocks.append(tuple(block))
     return LinearSpace(col.m, tuple(lines)), Parallelism(tuple(blocks))
 

@@ -85,6 +85,14 @@ def test_verify_rejects_malformed_and_mismatched_files(tmp_path):
     code, out = run_cli("verify", "--s", "2,3", "--n", "3",
                         "--level", "qualitative", "--in", str(target))
     assert code == 1 and out.startswith("error:")
+    # 2.0 and true must not pass as the ints 2 and 1
+    for n, s in [(2.0, 2), (True, 1)]:
+        target.write_text(json.dumps(
+            {"vertices": 2, "edges": [[0, 1, 1]], "colours": int(n),
+             "signature": {"s": [s], "n": n}}))
+        code, out = run_cli("verify", "--s", str(s), "--n", str(int(n)),
+                            "--level", "feeble", "--in", str(target))
+        assert code == 1 and "signature's n must be an integer" in out, out
 
 
 def test_search_certified_nonexistent():

@@ -1,16 +1,18 @@
 """Edge colourings, verification levels, canonical forms."""
 
 import json
+import random
+from dataclasses import asdict
 from itertools import combinations, permutations
+from pathlib import Path
 
 import pytest
 
-from chromarep.algebra import Signature
+from chromarep.algebra import MAX_WITNESSES, Signature, required_multisets
 from chromarep.colouring import (DOT_PALETTE, EdgeColouring, Level,
                                  are_isomorphic, canonical_form,
                                  chromatic_degree, classify_triangle,
-                                 edge_index, edge_list, required_multisets,
-                                 saturate, verify)
+                                 edge_index, edge_list, saturate, verify)
 from chromarep.constructions import chain_colouring, pentagon, walecki
 from chromarep.quasigroup import lambda1, lambda2, standard_qn
 
@@ -188,6 +190,59 @@ def test_verify_matches_oracle_on_sweep():
     assert cases > 1000
 
 
+GOLDEN_REPORTS = Path(__file__).with_name("golden_reports.json")
+GOLDEN_CHECKS = [(s, level) for k in range(4)
+                 for s in combinations((1, 2, 3), k) for level in Level]
+
+
+def golden_colourings():
+    """Seeded random colourings, some missing a colour, plus a few built
+    ones that pass strong checks."""
+    rng = random.Random(2022)
+    out = []
+    for m, n, used in [(3, 1, 1), (4, 2, 2), (5, 3, 2), (6, 3, 3), (7, 4, 3),
+                       (9, 2, 2)]:
+        out.append(EdgeColouring(m, n, tuple(
+            rng.randint(1, used) for _ in range(m * (m - 1) // 2))))
+    return out + [pentagon(), K4_MATCHINGS, walecki(3),
+                  lambda2(standard_qn(5))]
+
+
+def report_record(report):
+    """Every field of a report, in JSON form."""
+    record = asdict(report)
+    record["level_requested"] = report.level_requested.value
+    return json.loads(json.dumps(record))
+
+
+def golden_records():
+    return [{"m": col.m, "n": col.n, "colours": list(col.colours),
+             "reports": [report_record(verify(col, sig(s, col.n), level))
+                         for s, level in GOLDEN_CHECKS]}
+            for col in golden_colourings()]
+
+
+def test_verify_reports_match_golden():
+    # every field of every report, witness lists and their order included,
+    # against golden_reports.json; regenerate it with
+    # `PYTHONPATH=src python tests/test_colouring.py` only when a report is
+    # meant to change
+    want = json.loads(GOLDEN_REPORTS.read_text())
+    got = golden_records()
+    assert [(c["m"], c["n"], c["colours"]) for c in got] == \
+        [(c["m"], c["n"], c["colours"]) for c in want]
+    for col, case_got, case_want in zip(golden_colourings(), got, want):
+        for (s, level), report in zip(GOLDEN_CHECKS, case_got["reports"]):
+            assert report["passed"] == oracle_verify(col, set(s), level.value)
+        assert case_got["reports"] == case_want["reports"], col
+    # the cases cover truncated witness lists and strong passes
+    records = [r for c in want for r in c["reports"]]
+    assert any(r["forbidden_total"] > MAX_WITNESSES for r in records)
+    assert any(r["strong_total"] > MAX_WITNESSES for r in records)
+    assert any(r["passed"] and r["level_requested"] == "strong"
+               for r in records)
+
+
 def test_chromatic_degree():
     col = lambda1(standard_qn(5))
     # vertex i misses exactly the colour i+1 (its own square)
@@ -260,18 +315,28 @@ def test_canonical_form_vertex_relabelling_invariant():
         assert canonical_form(relab) == canonical_form(col)
 
 
-def test_canonical_form_exhaustive_small():
-    # brute-force check: the canonical code really is the ordering minimum
-    col = EdgeColouring(4, 2, (1, 2, 2, 1, 2, 1))
+def brute_force_canonical(col):
+    """The least colour-renamed code over all vertex orderings."""
     codes = []
-    for perm in permutations(range(4)):
+    for perm in permutations(range(col.m)):
         rename, code = {}, []
-        for i, j in edge_list(4):
+        for i, j in edge_list(col.m):
             c = col.colour(perm[i], perm[j])
             rename.setdefault(c, len(rename) + 1)
             code.append(rename[c])
         codes.append(tuple(code))
-    assert canonical_form(col).colours == min(codes)
+    return min(codes)
+
+
+def test_canonical_form_exhaustive_small():
+    # brute-force check: the canonical code really is the ordering minimum
+    rng = random.Random(5)
+    cols = [EdgeColouring(4, 2, (1, 2, 2, 1, 2, 1))]
+    for m, n in [(3, 2), (4, 3), (5, 2), (5, 3), (6, 2), (6, 3), (6, 4)]:
+        cols.append(EdgeColouring(m, n, tuple(
+            rng.randint(1, n) for _ in range(m * (m - 1) // 2))))
+    for col in cols:
+        assert canonical_form(col).colours == brute_force_canonical(col), col
 
 
 def test_lambda1_isomorphism_invariance():
@@ -322,6 +387,10 @@ def test_json_rejects_partial_edge_list():
       "edges": [[0, 1, 1]]}, "signature's n"),
     ({"vertices": 2, "colours": 2, "signature": {"s": [1], "n": 1},
       "edges": [[0, 1, 1]]}, "signature's n"),
+    ({"vertices": 2, "colours": 2, "signature": {"s": [2], "n": 2.0},
+      "edges": [[0, 1, 1]]}, "signature's n must be an integer"),
+    ({"vertices": 2, "colours": 1, "signature": {"s": [1], "n": True},
+      "edges": [[0, 1, 1]]}, "signature's n must be an integer"),
 ])
 def test_json_rejects_malformed(doc, message):
     with pytest.raises(ValueError, match=message):
@@ -337,3 +406,10 @@ def test_dot_export():
     big = EdgeColouring.from_function(14, 13, lambda i, j: max(i, j))
     assert f"color={DOT_PALETTE[0]}, label=\"13\"" in big.to_dot()
     assert len(DOT_PALETTE) == 12
+
+
+if __name__ == "__main__":
+    GOLDEN_REPORTS.write_text(
+        "[\n" + ",\n".join(json.dumps(case, separators=(",", ":"))
+                             for case in golden_records())
+        + "\n]\n")
