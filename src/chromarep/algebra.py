@@ -44,6 +44,9 @@ class Signature:
 
     def __post_init__(self):
         object.__setattr__(self, "s_set", frozenset(self.s_set))
+        for t in self.s_set:
+            _require_int(t, "triangle type")
+        _require_int(self.n, "the number of colours n")
         if not self.s_set <= {1, 2, 3}:
             raise ValueError("triangle types must lie in {1,2,3}")
         if self.n < 1:

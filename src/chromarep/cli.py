@@ -14,8 +14,8 @@ from dataclasses import asdict
 
 from .algebra import Signature
 from .colouring import EdgeColouring, Level, verify
-from .constructions import (DelegatedToSearch, NotConstructible, construct,
-                            walecki_colour, walecki_witness)
+from .constructions import (RULES, DelegatedToSearch, NotConstructible,
+                            construct, walecki_colour, walecki_witness)
 from .search import certify_summary_row, enumerate_representations, search
 
 EXIT_OK = 0
@@ -216,18 +216,15 @@ def cmd_witness(args, out):
     return EXIT_OK
 
 
-SIGNATURE_ORDER = [(1, 2, 3), (2, 3), (1, 3), (1, 2), (3,), (2,), (1,), ()]
-
-
 def cmd_table(args, out):
     if args.max_n < 1:
         raise ValueError(f"--max-n must be >= 1, got {args.max_n}")
     budget = _budget(args)
     rows = {}
-    for s in SIGNATURE_ORDER:
-        cells = certify_summary_row(frozenset(s), range(1, args.max_n + 1),
+    for s in RULES:
+        cells = certify_summary_row(s, range(1, args.max_n + 1),
                                     node_budget=budget)
-        row = rows["{" + ",".join(str(x) for x in s) + "}"] = {}
+        row = rows["{" + ",".join(str(x) for x in sorted(s)) + "}"] = {}
         for (n, level), cell in cells.items():
             row.setdefault(f"n={n}", {})[level.value] = asdict(cell)
     out.write(json.dumps(rows, indent=2, sort_keys=True) + "\n")

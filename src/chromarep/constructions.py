@@ -1,8 +1,9 @@
 """Explicit representations per signature, where a closed construction exists.
 
-``construct`` dispatches on the signature and requested level and returns
-either a verified colouring, a ``NotConstructible`` verdict, or
-``DelegatedToSearch`` when only exhaustive search can settle the request.
+``construct`` looks the signature and requested level up in the rule table
+``RULES`` and returns either a verified colouring, a ``NotConstructible``
+verdict, or ``DelegatedToSearch`` when only exhaustive search can settle the
+request.
 """
 
 from __future__ import annotations
@@ -134,10 +135,92 @@ def _lyndon_qualitative(n: int) -> EdgeColouring:
     return colouring_from_parallelism(*geometry)
 
 
+_ANY = tuple(Level)
+_FEEBLE = (Level.FEEBLE,)
+_QUALITATIVE = (Level.QUALITATIVE,)
+_STRONG = (Level.STRONG,)
+
+# For each S, rows (levels, applies, result) for n >= 2, read in order: the
+# first row whose levels hold the level and whose applies is None or true
+# for n decides.  A result is a verdict, or a callable of n returning a
+# colouring or a verdict.  Every S ends with a row for any level and any n.
+# Builders from geometry and quasigroup sit inside lambdas, so they are
+# looked up when a row fires and a wrapper set on this module sees them.
+RULES = {
+    frozenset(): [
+        (_ANY, None, NotConstructible(
+            "all triangle types forbidden: only the one-colour K_2 exists",
+            nonexistent=True))],
+    frozenset({1}): [
+        (_ANY, None, NotConstructible(
+            "only monochromatic triangles allowed: a second colour would "
+            "force a forbidden triangle", nonexistent=True))],
+    frozenset({3}): [
+        (_FEEBLE, lambda n: n % 2 == 0 and n >= 4,
+         _even_trichromatic_feeble),
+        (_ANY, lambda n: n % 2 == 0, NotConstructible(
+            "trichromatic-only colourings exist qualitatively only for "
+            "odd colour counts", nonexistent=True)),
+        (_STRONG, lambda n: n != 3, NotConstructible(
+            "the trichromatic algebras are nonassociative beyond three "
+            "colours", nonexistent=True)),
+        (_ANY, None, lambda n: lambda2(standard_qn(n)))],
+    frozenset({2}): [
+        (_FEEBLE, None, chain_colouring),
+        (_ANY, lambda n: n == 2, lambda n: pentagon()),
+        (_ANY, None, NotConstructible(
+            "no qualitative dichromatic-only representation exists beyond "
+            "two colours", nonexistent=True))],
+    frozenset({2, 3}): [
+        (_STRONG, lambda n: n <= 4, DelegatedToSearch(
+            "strong Ramsey representations are settled by search at small "
+            "colour counts only")),
+        (_STRONG, None, NotConstructible(
+            "strong Ramsey representations need finite-field machinery not "
+            "included here")),
+        (_ANY, None, walecki)],
+    frozenset({1, 3}): [
+        (_STRONG, lambda n: n >= 4 and prime_power(n - 1),
+         lambda n: colouring_from_parallelism(*affine_plane(n - 1))),
+        (_STRONG, lambda n: n == 3, DelegatedToSearch(
+            "no strong construction below four colours; search settles the "
+            "small case")),
+        (_STRONG, None, lambda n: NotConstructible(
+            "strong Lyndon representations correspond to affine planes of "
+            f"order {n - 1}; none is built here")),
+        (_QUALITATIVE, lambda n: n >= 4, _lyndon_qualitative),
+        (_QUALITATIVE, None, DelegatedToSearch(
+            "three-colour Lyndon qualitative existence is settled by "
+            "exhaustive search")),
+        (_FEEBLE, lambda n: n >= 3,
+         lambda n: colouring_from_parallelism(*near_pencil(n))),
+        (_ANY, None, DelegatedToSearch(
+            "no two-colour Lyndon construction known"))],
+    frozenset({1, 2}): [
+        (_FEEBLE, None, chain_colouring),
+        (_ANY, None, DelegatedToSearch(
+            "non-feeble representations for this signature are found by "
+            "search only"))],
+    frozenset({1, 2, 3}): [
+        (_STRONG, None, NotConstructible(
+            "finite strong representations exist in the literature but no "
+            "construction is included here")),
+        (_ANY, None, _all_types_filler)],
+}
+
+
 def construct(sig: Signature, level: Level):
-    """Build a representation at the requested level, if the library knows
-    a closed construction for the signature."""
-    result = _dispatch(sig, level)
+    """Build a representation at the requested level by the first matching
+    row of ``RULES``, or return that row's verdict."""
+    n = sig.n
+    if n == 1:  # one proper colour: a single triangle type matters
+        result = single_colour(3 if 1 in sig.s_set else 2)
+    else:
+        for levels, applies, result in RULES[sig.s_set]:
+            if level in levels and (applies is None or applies(n)):
+                break
+        if callable(result):
+            result = result(n)
     if isinstance(result, EdgeColouring):
         report = verify(result, sig, level)
         if not report.passed:
@@ -145,91 +228,3 @@ def construct(sig: Signature, level: Level):
                 f"construction defect for {sig} at {level.value}: "
                 f"{report.summary()}")
     return result
-
-
-def _dispatch(sig: Signature, level: Level):
-    s, n = sig.s_set, sig.n
-    if n == 1:
-        # one proper colour: a single triangle type matters
-        return single_colour(3) if 1 in s else single_colour(2)
-
-    if s == frozenset():
-        return NotConstructible(
-            "all triangle types forbidden: only the one-colour K_2 exists",
-            nonexistent=True)
-    if s == frozenset({1}):
-        return NotConstructible(
-            "only monochromatic triangles allowed: a second colour would "
-            "force a forbidden triangle", nonexistent=True)
-
-    if s == frozenset({3}):
-        if n % 2 == 0:
-            if level is Level.FEEBLE and n >= 4:
-                return _even_trichromatic_feeble(n)
-            return NotConstructible(
-                "trichromatic-only colourings exist qualitatively only for "
-                "odd colour counts", nonexistent=True)
-        if level is Level.STRONG:
-            if n == 3:
-                return lambda2(standard_qn(3))
-            return NotConstructible(
-                "the trichromatic algebras are nonassociative beyond three "
-                "colours", nonexistent=True)
-        return lambda2(standard_qn(n))
-
-    if s == frozenset({2}):
-        if level is Level.FEEBLE:
-            return chain_colouring(n)
-        if n == 2:
-            return pentagon()
-        return NotConstructible(
-            "no qualitative dichromatic-only representation exists beyond "
-            "two colours", nonexistent=True)
-
-    if s == frozenset({2, 3}):
-        if level is Level.STRONG:
-            if n <= 4:
-                return DelegatedToSearch(
-                    "strong Ramsey representations are settled by search at "
-                    "small colour counts only")
-            return NotConstructible(
-                "strong Ramsey representations need finite-field machinery "
-                "not included here")
-        return walecki(n)
-
-    if s == frozenset({1, 3}):
-        if level is Level.STRONG:
-            if n >= 4 and prime_power(n - 1):
-                return colouring_from_parallelism(*affine_plane(n - 1))
-            if n == 3:
-                return DelegatedToSearch(
-                    "no strong construction below four colours; search "
-                    "settles the small case")
-            return NotConstructible(
-                "strong Lyndon representations correspond to affine planes "
-                f"of order {n - 1}; none is built here")
-        if level is Level.QUALITATIVE:
-            if n >= 4:
-                return _lyndon_qualitative(n)
-            return DelegatedToSearch(
-                "three-colour Lyndon qualitative existence is settled by "
-                "exhaustive search")
-        if n >= 3:
-            return colouring_from_parallelism(*near_pencil(n))
-        return DelegatedToSearch("no two-colour Lyndon construction known")
-
-    if s == frozenset({1, 2}):
-        if level is Level.FEEBLE:
-            return chain_colouring(n)
-        return DelegatedToSearch(
-            "non-feeble representations for this signature are found by "
-            "search only")
-
-    if s == frozenset({1, 2, 3}):
-        if level is Level.STRONG:
-            return NotConstructible(
-                "finite strong representations exist in the literature but "
-                "no construction is included here")
-        return _all_types_filler(n)
-
-    raise AssertionError(f"unhandled signature {sig}")

@@ -22,6 +22,14 @@ def test_signature_validation():
         Signature(frozenset({4}), 2)
     with pytest.raises(ValueError):
         Signature(frozenset({1}), 0)
+    # 2.0 and True pass as 2 and 1 in arithmetic and set membership, and a
+    # search on n = 2.0 would end in a TypeError
+    for bad_n in (2.0, True, "2", None):
+        with pytest.raises(ValueError, match="number of colours"):
+            Signature(frozenset({2}), bad_n)
+    for bad_s in ({2.0}, {True}, {1, "3"}):
+        with pytest.raises(ValueError, match="triangle type"):
+            Signature(frozenset(bad_s), 2)
     assert sig((1, 3), 4).forbidden == frozenset({2})
     assert sig((), 2).forbidden == frozenset({1, 2, 3})
     assert sig((2,), 5).atom_count == 6

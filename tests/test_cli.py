@@ -2,6 +2,7 @@
 
 import io
 import json
+from pathlib import Path
 
 import pytest
 
@@ -223,6 +224,12 @@ def test_table():
     assert set(doc) == {"{1,2,3}", "{2,3}", "{1,3}", "{1,2}", "{3}", "{2}",
                         "{1}", "{}"}
     assert doc["{3}"]["n=1"]["qualitative"]["status"] == "Constructed"
+    # every verdict, reason and search summary up to n = 6; the budget
+    # bounds the {1,2} qualitative and strong searches, and raising it to
+    # 20000 gives the same table
+    code, out = run_cli("table", "--max-n", "6", "--budget-nodes", "2000")
+    assert code == 0
+    assert out == (Path(__file__).parent / "golden_table.json").read_text()
 
 
 def test_table_deterministic():

@@ -7,8 +7,8 @@ import pytest
 from chromarep.algebra import Signature
 from chromarep.colouring import (EdgeColouring, Level, classify_triangle,
                                  verify)
-from chromarep.constructions import (DelegatedToSearch, NotConstructible,
-                                     chain_colouring, construct, pentagon,
+from chromarep.constructions import (RULES, DelegatedToSearch,
+                                     NotConstructible, chain_colouring, construct, pentagon,
                                      single_colour, walecki, walecki_witness,
                                      wrap_colour)
 
@@ -199,3 +199,21 @@ def test_construct_mono_di():
     assert isinstance(construct(sig((1, 2), 4), Level.FEEBLE), EdgeColouring)
     assert isinstance(construct(sig((1, 2), 4), Level.QUALITATIVE),
                       DelegatedToSearch)
+
+
+def test_rules_have_no_shadowed_rows():
+    # every S has its rows, each deciding some (level, n) with 2 <= n <= 10,
+    # and a last row that decides whatever the rows above it leave
+    assert set(RULES) == {frozenset(s) for s in ALL_S}
+    for s, rows in RULES.items():
+        assert set(rows[-1][0]) == set(Level) and rows[-1][1] is None
+        decided = set()
+        for n in range(2, 11):
+            for level in Level:
+                i, (_, _, result) = next(
+                    (i, row) for i, row in enumerate(rows)
+                    if level in row[0] and (row[1] is None or row[1](n)))
+                decided.add(i)
+                want = result(n) if callable(result) else result
+                assert construct(sig(s, n), level) == want
+        assert decided == set(range(len(rows))), s
