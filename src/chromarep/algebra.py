@@ -34,6 +34,15 @@ def _int_rows(value, what: str) -> tuple:
     return tuple(tuple(row) for row in value)
 
 
+def _json_object(text: str, what: str, *keys: str) -> dict:
+    """Parse a JSON object that holds every key; else ValueError."""
+    doc = json.loads(text)
+    if not isinstance(doc, dict) or not all(k in doc for k in keys):
+        *head, last = map(repr, keys)
+        raise ValueError(f"{what} JSON needs {', '.join(head)} and {last}")
+    return doc
+
+
 @dataclass(frozen=True)
 class Signature:
     """A chromatic algebra selector: consistent triangle types S and the
@@ -43,9 +52,10 @@ class Signature:
     n: int
 
     def __post_init__(self):
-        object.__setattr__(self, "s_set", frozenset(self.s_set))
-        for t in self.s_set:
+        s = tuple(self.s_set)  # checked first: a set merges 2.0 into 2
+        for t in s:
             _require_int(t, "triangle type")
+        object.__setattr__(self, "s_set", frozenset(s))
         _require_int(self.n, "the number of colours n")
         if not self.s_set <= {1, 2, 3}:
             raise ValueError("triangle types must lie in {1,2,3}")
@@ -147,17 +157,13 @@ class AtomStructure:
     @classmethod
     def from_json(cls, text: str) -> "AtomStructure":
         """Parse the JSON form; malformed input raises ValueError."""
-        doc = json.loads(text)
-        try:
-            count, converse = doc["atom_count"], doc["converse"]
-            identity, triples = doc["identity"], doc["triples"]
-        except (KeyError, TypeError):
-            raise ValueError("atom-structure JSON needs 'atom_count', "
-                             "'converse', 'identity' and 'triples'") from None
-        _require_int(count, "atom count")
-        converse, identity = _int_rows([converse, identity], "atom list")
-        return cls(count, converse, frozenset(identity),
-                   frozenset(_int_rows(triples, "triple")))
+        doc = _json_object(text, "atom-structure", "atom_count", "converse",
+                           "identity", "triples")
+        _require_int(doc["atom_count"], "atom count")
+        converse, identity = _int_rows([doc["converse"], doc["identity"]],
+                                       "atom list")
+        return cls(doc["atom_count"], converse, frozenset(identity),
+                   frozenset(_int_rows(doc["triples"], "triple")))
 
 
 def peircean_transforms(t, structure: AtomStructure) -> set:

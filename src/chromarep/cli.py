@@ -41,11 +41,6 @@ def _parse_level(text: str) -> Level:
         raise argparse.ArgumentTypeError(f"bad level {text!r}")
 
 
-def _default_budget():
-    raw = os.environ.get("CHROMATIC_BUDGET_NODES")
-    return int(raw) if raw else None
-
-
 def _add_signature_args(p):
     p.add_argument("--s", type=_parse_s, required=True,
                    help="consistent triangle types, e.g. 1,3 (or 'empty')")
@@ -107,9 +102,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _budget(args):
+    """--budget-nodes, else CHROMATIC_BUDGET_NODES, else no budget."""
     budget = getattr(args, "budget_nodes", None)
-    if budget is None:
-        budget = _default_budget()
+    raw = os.environ.get("CHROMATIC_BUDGET_NODES")
+    if budget is None and raw:
+        if not raw.strip().isdecimal():
+            raise ValueError("CHROMATIC_BUDGET_NODES must be an integer "
+                             f">= 0, got {raw!r}")
+        budget = int(raw)
     if budget is not None and budget < 0:
         raise ValueError(f"node budget must be >= 0, got {budget}")
     return budget
@@ -147,17 +147,11 @@ def cmd_construct(args, out):
 
 
 def _names_signature(declared, sig) -> bool:
-    """True when a file's "signature" entry names sig; s in any order.
-
-    Each entry is type-checked before any set is built: in a set, 2.0 and
-    True collapse onto the ints 2 and 1.
-    """
+    """True when a file's "signature" entry names sig; s in any order."""
     try:
-        s, n = list(declared["s"]), declared["n"]
-    except (KeyError, TypeError):
+        return Signature(declared["s"], declared["n"]) == sig
+    except (KeyError, TypeError, ValueError):
         return False
-    return (all(type(x) is int for x in s + [n])
-            and set(s) == sig.s_set and n == sig.n)
 
 
 def cmd_verify(args, out):

@@ -13,8 +13,8 @@ import json
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .algebra import (FORBIDDEN, MAX_WITNESSES, _multisets, _require_int,
-                      triangle_table, witness_pairs)
+from .algebra import (FORBIDDEN, MAX_WITNESSES, _int_rows, _json_object,
+                      _multisets, _require_int, triangle_table, witness_pairs)
 
 
 class Level(Enum):
@@ -101,30 +101,29 @@ class EdgeColouring:
     @classmethod
     def from_json(cls, text: str) -> "EdgeColouring":
         """Parse the JSON form; malformed input raises ValueError."""
-        doc = json.loads(text)
-        try:
-            m, edges = doc["vertices"], doc["edges"]
-            n = doc["colours"] if "colours" in doc else doc["signature"]["n"]
-        except (KeyError, TypeError, AttributeError):
+        doc = _json_object(text, "colouring", "vertices", "edges")
+        declared = doc.get("signature")
+        declared = declared if isinstance(declared, dict) else {}
+        if "colours" not in doc and "n" not in declared:
             raise ValueError("colouring JSON needs 'vertices', 'edges' and "
-                             "'colours' or 'signature.n'") from None
+                             "'colours' or 'signature.n'")
+        m, edges = doc["vertices"], doc["edges"]
+        n = doc.get("colours", declared.get("n"))
         _require_int(m, "vertex count")
         _require_int(n, "colour count")
-        declared = doc.get("signature")
-        if isinstance(declared, dict) and "n" in declared:
+        if "n" in declared:
             _require_int(declared["n"], "the signature's n")
             if declared["n"] != n:
                 raise ValueError(f"'colours' is {n} but the signature's n "
                                  f"is {declared['n']!r}")
-        if not isinstance(edges, list) or len(edges) != m * (m - 1) // 2:
+        _int_rows(edges, "edge")
+        if len(edges) != m * (m - 1) // 2:
             raise ValueError("edge list does not cover K_m")
         cols = [None] * len(edges)
         for edge in edges:
-            if not isinstance(edge, list) or len(edge) != 3:
+            if len(edge) != 3:
                 raise ValueError(f"edge {edge!r} is not [i, j, colour]")
             i, j, c = edge
-            for value in edge:
-                _require_int(value, f"edge {edge!r} entry")
             if not (0 <= i < m and 0 <= j < m and i != j):
                 raise ValueError(f"edge {edge!r} needs two distinct vertices "
                                  f"in 0..{m - 1}")

@@ -190,8 +190,8 @@ RULES = {
             f"order {n - 1}; none is built here")),
         (_QUALITATIVE, lambda n: n >= 4, _lyndon_qualitative),
         (_QUALITATIVE, None, DelegatedToSearch(
-            "three-colour Lyndon qualitative existence is settled by "
-            "exhaustive search")),
+            "two- and three-colour Lyndon qualitative existence is settled "
+            "by exhaustive search")),
         (_FEEBLE, lambda n: n >= 3,
          lambda n: colouring_from_parallelism(*near_pencil(n))),
         (_ANY, None, DelegatedToSearch(

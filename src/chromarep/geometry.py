@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from math import isqrt
 
-from .algebra import (MAX_WITNESSES, Signature, _int_rows, _require_int,
-                      required_multisets)
+from .algebra import (MAX_WITNESSES, Signature, _int_rows, _json_object,
+                      _require_int, required_multisets)
 from .colouring import EdgeColouring, colour_rows, triangle_scan
 
 
@@ -49,14 +49,10 @@ class LinearSpace:
     @classmethod
     def from_json(cls, text: str):
         """Parse the JSON form; malformed input raises ValueError."""
-        doc = json.loads(text)
-        try:
-            points, lines = doc["points"], doc["lines"]
-        except (KeyError, TypeError):
-            raise ValueError("linear-space JSON needs 'points' and "
-                             "'lines'") from None
-        _require_int(points, "point count")
-        sp = cls(points, tuple(frozenset(l) for l in _int_rows(lines, "line")))
+        doc = _json_object(text, "linear-space", "points", "lines")
+        _require_int(doc["points"], "point count")
+        sp = cls(doc["points"], tuple(frozenset(l) for l in
+                                      _int_rows(doc["lines"], "line")))
         if "blocks" in doc:
             return sp, Parallelism(_int_rows(doc["blocks"], "block"))
         return sp

@@ -10,7 +10,7 @@ import json
 from dataclasses import dataclass, field
 from itertools import combinations, product
 
-from .algebra import Signature, _int_rows, _require_int
+from .algebra import Signature, _int_rows, _json_object, _require_int
 from .colouring import EdgeColouring, Level, verify
 
 
@@ -38,14 +38,9 @@ class Quasigroup:
     @classmethod
     def from_json(cls, text: str) -> "Quasigroup":
         """Parse the JSON form; malformed input raises ValueError."""
-        doc = json.loads(text)
-        try:
-            order, table = doc["order"], doc["table"]
-        except (KeyError, TypeError):
-            raise ValueError("quasigroup JSON needs 'order' and "
-                             "'table'") from None
-        _require_int(order, "order")
-        return cls(order, _int_rows(table, "table row"))
+        doc = _json_object(text, "quasigroup", "order", "table")
+        _require_int(doc["order"], "order")
+        return cls(doc["order"], _int_rows(doc["table"], "table row"))
 
 
 @dataclass

@@ -30,6 +30,10 @@ def test_signature_validation():
     for bad_s in ({2.0}, {True}, {1, "3"}):
         with pytest.raises(ValueError, match="triangle type"):
             Signature(frozenset(bad_s), 2)
+    # entries are checked before a set would merge 2.0 into 2, True into 1
+    for bad_s in ((2, 2.0), [1, True]):
+        with pytest.raises(ValueError, match="triangle type"):
+            Signature(bad_s, 2)
     assert sig((1, 3), 4).forbidden == frozenset({2})
     assert sig((), 2).forbidden == frozenset({1, 2, 3})
     assert sig((2,), 5).atom_count == 6

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from chromarep.algebra import Signature
 from chromarep.cli import run
 from chromarep.colouring import Level
 from chromarep.search import certify_summary_row
@@ -81,6 +82,12 @@ def test_verify_rejects_malformed_and_mismatched_files(tmp_path):
     code, out = run_cli("verify", "--s", "2,3", "--n", "3",
                         "--level", "qualitative", "--in", str(target))
     assert code == 1 and "differs from --s/--n" in out
+    # 2.0 and 2 are one entry in a set; the file must still be refused
+    doc["signature"]["s"] = [2, 2.0, 3]
+    target.write_text(json.dumps(doc))
+    code, out = run_cli("verify", "--s", "2,3", "--n", "3",
+                        "--level", "qualitative", "--in", str(target))
+    assert code == 1 and "differs from --s/--n" in out
     doc["edges"][0][1] = 99
     target.write_text(json.dumps(doc))
     code, out = run_cli("verify", "--s", "2,3", "--n", "3",
@@ -96,11 +103,25 @@ def test_verify_rejects_malformed_and_mismatched_files(tmp_path):
         assert code == 1 and "signature's n must be an integer" in out, out
 
 
-def test_search_certified_nonexistent():
+def test_search_certified_nonexistent(monkeypatch, dichromatic_certificate):
+    # the CLI prints the session's one {2}, n=3 exhaustion instead of
+    # running it again
+    outcome, _ = dichromatic_certificate
+
+    def stub(sig, level, m_range, node_budget):
+        assert (sig, level) == (Signature(frozenset({2}), 3),
+                                Level.QUALITATIVE)
+        assert m_range is None and node_budget is None
+        return outcome
+
+    monkeypatch.delenv("CHROMATIC_BUDGET_NODES", raising=False)
+    monkeypatch.setattr("chromarep.cli.search", stub)
     code, out = run_cli("search", "--s", "2", "--n", "3",
                         "--level", "qualitative")
     assert code == 0
-    assert "certified nonexistent up to m=12" in out
+    lines = out.splitlines()
+    assert [json.loads(line)["m"] for line in lines[:-1]] == list(range(2, 13))
+    assert lines[-1] == "certified nonexistent up to m=12"
 
 
 def test_search_found_writes_file(tmp_path):
@@ -139,6 +160,10 @@ def test_search_env_budget(monkeypatch):
     code, _ = run_cli("search", "--s", "2", "--n", "3",
                       "--level", "qualitative")
     assert code == 3
+    monkeypatch.setenv("CHROMATIC_BUDGET_NODES", "abc")
+    code, out = run_cli("search", "--s", "2", "--n", "3",
+                        "--level", "qualitative")
+    assert code == 1 and out.startswith("error: CHROMATIC_BUDGET_NODES"), out
 
 
 def test_search_transcript_is_line_json():

@@ -391,6 +391,9 @@ def test_json_rejects_partial_edge_list():
       "edges": [[0, 1, 1]]}, "signature's n must be an integer"),
     ({"vertices": 2, "colours": 1, "signature": {"s": [1], "n": True},
       "edges": [[0, 1, 1]]}, "signature's n must be an integer"),
+    ({"vertices": 2, "colours": 1, "edges": [5]}, "edge 5 is not a list"),
+    ({"vertices": 2, "colours": 1, "edges": [[0, 1]]},
+     r"edge \[0, 1\] is not \[i, j, colour\]"),
 ])
 def test_json_rejects_malformed(doc, message):
     with pytest.raises(ValueError, match=message):

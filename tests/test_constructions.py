@@ -183,6 +183,10 @@ def test_construct_lyndon():
                           EdgeColouring)
     assert isinstance(construct(sig((1, 3), 3), Level.QUALITATIVE),
                       DelegatedToSearch)
+    # the delegating row covers n = 2 as well as n = 3
+    assert construct(sig((1, 3), 2), Level.QUALITATIVE).reason == (
+        "two- and three-colour Lyndon qualitative existence is settled by "
+        "exhaustive search")
     assert isinstance(construct(sig((1, 3), 7), Level.STRONG),
                       NotConstructible)  # no plane of order 6
 
