@@ -36,7 +36,10 @@ def _int_rows(value, what: str) -> tuple:
 
 def _json_object(text: str, what: str, *keys: str) -> dict:
     """Parse a JSON object that holds every key; else ValueError."""
-    doc = json.loads(text)
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{what} input is not JSON: {exc}") from None
     if not isinstance(doc, dict) or not all(k in doc for k in keys):
         *head, last = map(repr, keys)
         raise ValueError(f"{what} JSON needs {', '.join(head)} and {last}")

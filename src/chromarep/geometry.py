@@ -29,16 +29,6 @@ class LinearSpace:
             if not all(0 <= p < self.point_count for p in line):
                 raise ValueError("line contains an unknown point")
 
-    def line_through(self):
-        """Map each point pair to the index of its (unique) line, or raise."""
-        through = {}
-        for idx, line in enumerate(self.lines):
-            for p, q in combinations(sorted(line), 2):
-                if (p, q) in through:
-                    raise ValueError(f"points {p},{q} lie on two lines")
-                through[(p, q)] = idx
-        return through
-
     def to_json(self, parallelism=None) -> str:
         doc = {"points": self.point_count,
                "lines": [sorted(line) for line in self.lines]}
@@ -297,17 +287,10 @@ def drop_points(plane, dropped):
 def colouring_from_parallelism(sp: LinearSpace, pw: Parallelism) -> EdgeColouring:
     """Colour each point pair by the block of its line (1-based)."""
     _require_parallelism(sp, pw)
-    through = sp.line_through()
-    block_of = {}
-    for b, block in enumerate(pw.blocks):
-        for idx in block:
-            block_of[idx] = b
-
-    def colour_of(i, j):
-        return block_of[through[(i, j)]] + 1
-
+    colour = {pair: b + 1 for b, block in enumerate(pw.blocks) for idx in block
+              for pair in combinations(sorted(sp.lines[idx]), 2)}
     return EdgeColouring.from_function(sp.point_count, len(pw.blocks),
-                                       colour_of)
+                                       lambda i, j: colour[i, j])
 
 
 def linear_space_from_colouring(col: EdgeColouring):

@@ -222,11 +222,9 @@ class TableCell:
 
 
 def certify_summary_row(s_set, n_range, node_budget=None):
-    """Desk-scale reproduction of one summary-table row.
-
-    For each colour count and level, reports how the verdict was obtained,
-    cross-checking the construction dispatcher against the search.
-    """
+    """One summary-table row at desk scale: each (n, level) cell holds
+    ``construct``'s verdict, and only the cells it delegates run the
+    search."""
     cells = {}
     for n in n_range:
         sig = Signature(frozenset(s_set), n)

@@ -62,6 +62,16 @@ def test_verify_pass_and_fail(tmp_path):
     code, out = run_cli("verify", "--s", "2,3", "--n", "3",
                         "--level", "strong", "--in", str(target))
     assert code == 2 and "FAIL" in out
+    # one colour on K_3: every part of the failure summary
+    mono = tmp_path / "mono.json"
+    mono.write_text(json.dumps({"vertices": 3, "colours": 2,
+                                "edges": [[0, 1, 1], [0, 2, 1], [1, 2, 1]]}))
+    code, out = run_cli("verify", "--s", "2,3", "--n", "2",
+                        "--level", "qualitative", "--in", str(mono))
+    assert code == 2
+    assert out.strip() == (
+        "qualitative: FAIL (not surjective; 1 forbidden triangle(s); "
+        "missing multisets [(1, 1, 2), (1, 2, 2)])")
 
 
 def test_verify_rejects_malformed_and_mismatched_files(tmp_path):
@@ -101,6 +111,12 @@ def test_verify_rejects_malformed_and_mismatched_files(tmp_path):
         code, out = run_cli("verify", "--s", str(s), "--n", str(int(n)),
                             "--level", "feeble", "--in", str(target))
         assert code == 1 and "signature's n must be an integer" in out, out
+    target.write_text("nope")
+    code, out = run_cli("verify", "--s", "2,3", "--n", "3",
+                        "--level", "qualitative", "--in", str(target))
+    assert code == 1 and out == (
+        "error: colouring input is not JSON: "
+        "Expecting value: line 1 column 1 (char 0)\n")
 
 
 def test_search_certified_nonexistent(monkeypatch, dichromatic_certificate):

@@ -96,12 +96,10 @@ def test_ls4_ls5_affine_plane():
     report = check_ls5(sp, pw)
     assert report.valid
     assert len(report.witnesses) == 4  # C(4,3) distinct block triples
-    through = sp.line_through()
-    block_of = {i: b for b, blk in enumerate(pw.blocks) for i in blk}
+    col = colouring_from_parallelism(sp, pw)
     for (b1, b2, b3), (p, q, r) in report.witnesses.items():
-        got = {block_of[through[tuple(sorted((p, q)))]],
-               block_of[through[tuple(sorted((q, r)))]],
-               block_of[through[tuple(sorted((p, r)))]]}
+        got = {col.colour(p, q) - 1, col.colour(q, r) - 1,
+               col.colour(p, r) - 1}
         assert got == {b1, b2, b3}
 
 
@@ -111,6 +109,11 @@ def test_ls4_fails_on_near_pencil_even():
     assert not report.valid
     # every 2-point apex line is its own block and has no long line
     assert len(report.blocks_without_long_line) == 3
+    report = check_ls5(sp, pw)
+    assert not report.valid
+    # blocks 1-3 are the apex lines; all meet at 0, so no triangle uses them
+    assert report.failures == [(1, 2, 3)]
+    assert set(report.witnesses) == {(0, 1, 2), (0, 1, 3), (0, 2, 3)}
 
 
 def test_near_pencil_shapes():
@@ -242,6 +245,11 @@ def test_colouring_from_parallelism_rejects_invalid():
     sp, _ = affine_plane(2)
     with pytest.raises(ValueError):
         colouring_from_parallelism(sp, Parallelism(((0, 2), (1, 3), (4, 5))))
+    # pair {0, 1} lies on two lines: no linear space, so no colouring
+    sp = LinearSpace(3, (frozenset({0, 1, 2}), frozenset({0, 1})))
+    for check in (colouring_from_parallelism, check_ls4, check_ls5):
+        with pytest.raises(ValueError, match="invalid linear space"):
+            check(sp, Parallelism(((0,), (1,))))
 
 
 def test_space_round_trip_affine_plane():
@@ -251,6 +259,13 @@ def test_space_round_trip_affine_plane():
     assert back[0].point_count == 9
     assert len(back[0].lines) == 12
     assert same_space(back, plane)
+    sp, pw = plane
+    assert same_space(plane, (sp, Parallelism(pw.blocks[::-1])))
+    swapped = ((pw.blocks[1][0],) + pw.blocks[0][1:],
+               (pw.blocks[0][0],) + pw.blocks[1][1:]) + pw.blocks[2:]
+    for other in (affine_plane(4), near_pencil(9),
+                  (sp, Parallelism(swapped))):
+        assert not same_space(plane, other)
 
 
 def test_space_round_trip_near_pencil():
@@ -286,13 +301,8 @@ def test_space_json_round_trip():
     ('{"points": 3, "lines": [[0, 1], 7]}', "line 7 is not a list"),
     ('{"points": "3", "lines": []}', "point count must be an integer"),
     ('{"points": 3, "lines": [[0, 1, 2]], "blocks": [[0.5]]}', "integer"),
+    ("nope", "input is not JSON"),
 ])
 def test_space_json_rejects_malformed(text, message):
     with pytest.raises(ValueError, match=message):
         LinearSpace.from_json(text)
-
-
-def test_line_through_rejects_double_cover():
-    sp = LinearSpace(3, (frozenset({0, 1, 2}), frozenset({0, 1})))
-    with pytest.raises(ValueError):
-        sp.line_through()

@@ -216,6 +216,7 @@ def test_quasigroup_json_round_trip():
 @pytest.mark.parametrize("text, message", [
     ('{"order": 2, "table": [1, 2]}', "table row 1 is not a list"),
     ('{"order": 1}', "needs 'order' and 'table'"),
+    ("nope", "input is not JSON"),
 ])
 def test_quasigroup_json_rejects_malformed(text, message):
     with pytest.raises(ValueError, match=message):
