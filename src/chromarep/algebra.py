@@ -78,14 +78,10 @@ class Signature:
         return f"E_{self.n + 1}^{{{s}}}"
 
 
-def required_multisets(sig) -> list[tuple[int, int, int]]:
-    """Sorted proper-colour multisets a qualitative representation must
-    realise, as a fresh list."""
-    return list(_multisets(sig))
-
-
 @cache
-def _multisets(sig) -> tuple:
+def required_multisets(sig) -> tuple:
+    """Sorted proper-colour multisets a qualitative representation must
+    realise."""
     return tuple((a, b, c) for a in range(1, sig.n + 1)
                  for b in range(a, sig.n + 1) for c in range(b, sig.n + 1)
                  if len({a, b, c}) in sig.s_set)
@@ -99,7 +95,7 @@ def triangle_table(sig) -> tuple:
     """``table[a][b][c]`` is ``FORBIDDEN`` when a triangle with side colours
     a, b, c has a forbidden type (or a colour is 0), and otherwise the index
     of its sorted colour multiset in ``required_multisets(sig)``."""
-    ids = {t: k for k, t in enumerate(_multisets(sig))}
+    ids = {t: k for k, t in enumerate(required_multisets(sig))}
     colours = range(sig.n + 1)
     return tuple(tuple(tuple(ids.get(tuple(sorted((a, b, c))), FORBIDDEN)
                              for c in colours) for b in colours)

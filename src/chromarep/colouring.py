@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .algebra import (FORBIDDEN, MAX_WITNESSES, _int_rows, _json_object,
-                      _multisets, _require_int, triangle_table, witness_pairs)
+                      _require_int, required_multisets, triangle_table,
+                      witness_pairs)
 
 
 class Level(Enum):
@@ -248,8 +249,8 @@ def verify(col: EdgeColouring, sig, level: Level) -> VerificationReport:
      realized) = triangle_scan(rows, sig)
 
     if level is not Level.FEEBLE:
-        report.missing_required = [t for k, t in enumerate(_multisets(sig))
-                                   if k not in realized]
+        report.missing_required = [
+            t for k, t in enumerate(required_multisets(sig)) if k not in realized]
 
     if level is Level.STRONG:
         failures = report.strong_failures
@@ -329,39 +330,30 @@ def saturate(col: EdgeColouring, v: int, sig) -> EdgeColouring:
 def canonical_form(col: EdgeColouring) -> EdgeColouring:
     """Lexicographically minimal relabelling over vertex and colour permutations.
 
-    Branch-and-bound over vertex orderings; colours are normalised by first
-    occurrence along the fixed edge enumeration, which makes prefixes of the
-    code comparable before the ordering is complete.  Idempotent.
+    A vertex ordering's code lists each vertex's colours to the earlier
+    vertices, renamed by first occurrence, so the least code is built one
+    row at a time: each row is the least extension of the orderings tied so
+    far.  Memory grows with the number of tied orderings (one per
+    automorphism at the end, m! for a single-colour clique).  Idempotent.
     """
-    m = col.m
-    rows = colour_rows(col)
-    # above every code, whose colours are renamed into 1..n; the first
-    # complete ordering the search reaches is the identity
-    best = [col.n + 1]
-
-    def dfs(order, code, rename):
-        nonlocal best
-        k = len(order)
-        if k == m:
-            if code < best:
-                best = list(code)
-            return
-        for v in range(m):
-            if v in order:
-                continue
-            row = rows[v]
-            new_code = list(code)
-            new_rename = dict(rename)
-            for u in order:
-                c = row[u]
-                if c not in new_rename:
-                    new_rename[c] = len(new_rename) + 1
-                new_code.append(new_rename[c])
-            if new_code <= best[:len(new_code)]:
-                dfs(order + [v], new_code, new_rename)
-
-    dfs([], [], {})
-    return EdgeColouring(m, col.n, tuple(best))
+    m, rows = col.m, colour_rows(col)
+    tied, code = [((), {})], []
+    for _ in range(m):
+        least, extended = None, []
+        for order, rename in tied:
+            for v in range(m):
+                if v in order:
+                    continue
+                new_rename = dict(rename)
+                row = [new_rename.setdefault(rows[v][u], len(new_rename) + 1)
+                       for u in order]
+                if least is None or row < least:
+                    least, extended = row, []
+                if row == least:
+                    extended.append((order + (v,), new_rename))
+        code += least
+        tied = extended
+    return EdgeColouring(m, col.n, tuple(code))
 
 
 def are_isomorphic(a: EdgeColouring, b: EdgeColouring) -> bool:

@@ -37,6 +37,8 @@ def test_signature_validation():
     assert sig((1, 3), 4).forbidden == frozenset({2})
     assert sig((), 2).forbidden == frozenset({1, 2, 3})
     assert sig((2,), 5).atom_count == 6
+    assert str(sig((1, 3), 4)) == "E_5^{1,3}"
+    assert str(sig((), 2)) == "E_3^{∅}"
 
 
 def test_chromatic_atoms_s3_n3():
@@ -188,6 +190,14 @@ def test_atom_structure_json_round_trip():
     ({"atom_count": 1, "converse": [0], "identity": [0]}, "needs"),
     ({"atom_count": 1, "converse": [0], "identity": [-1], "triples": []},
      "identity atom -1 is no atom"),
+    ({"atom_count": 2, "converse": [0], "identity": [0], "triples": []},
+     "converse must cover every atom"),
+    ({"atom_count": 3, "converse": [0, 2, 2], "identity": [0], "triples": []},
+     "converse is not self-inverse at atom 1"),
+    ({"atom_count": 2, "converse": [0, 1], "identity": [0],
+      "triples": [[0, 1, 5]]}, r"triple \(0, 1, 5\) out of range"),
+    ({"atom_count": 1, "converse": [0], "identity": [0], "triples": 7},
+     "triples must be a list"),
 ])
 def test_atom_structure_json_rejects_malformed(doc, message):
     with pytest.raises(ValueError, match=message):

@@ -279,13 +279,20 @@ def test_table_deterministic():
     assert a == b
 
 
-def test_usage_errors():
+def test_usage_errors(capsys):
     assert run_cli()[0] == 1
     assert run_cli("bogus")[0] == 1
     assert run_cli("construct", "--s", "9", "--n", "2",
                    "--level", "feeble")[0] == 1
     assert run_cli("verify", "--s", "2", "--n", "2", "--level", "feeble",
                    "--in", "/nonexistent.json")[0] == 1
+    capsys.readouterr()
+    assert run_cli("search", "--s", "x", "--n", "2",
+                   "--level", "qualitative")[0] == 1
+    assert "bad triangle-type set 'x'" in capsys.readouterr().err
+    assert run_cli("search", "--s", "2", "--n", "2",
+                   "--level", "bogus")[0] == 1
+    assert "bad level 'bogus'" in capsys.readouterr().err
 
 
 def test_threads_and_determinism_flags_accepted():

@@ -13,7 +13,8 @@ from chromarep.colouring import (DOT_PALETTE, EdgeColouring, Level,
                                  are_isomorphic, canonical_form,
                                  chromatic_degree, classify_triangle,
                                  edge_index, edge_list, saturate, verify)
-from chromarep.constructions import chain_colouring, pentagon, walecki
+from chromarep.constructions import (chain_colouring, construct, pentagon,
+                                     walecki)
 from chromarep.quasigroup import lambda1, lambda2, standard_qn
 
 
@@ -63,9 +64,9 @@ def test_classify_triangle():
 
 
 def test_required_multisets():
-    assert required_multisets(sig((3,), 3)) == [(1, 2, 3)]
-    assert required_multisets(sig((1,), 2)) == [(1, 1, 1), (2, 2, 2)]
-    assert required_multisets(sig((2,), 2)) == [(1, 1, 2), (1, 2, 2)]
+    assert required_multisets(sig((3,), 3)) == ((1, 2, 3),)
+    assert required_multisets(sig((1,), 2)) == ((1, 1, 1), (2, 2, 2))
+    assert required_multisets(sig((2,), 2)) == ((1, 1, 2), (1, 2, 2))
     # counts: mono n, di n(n-1), tri C(n,3)
     n = 5
     full = required_multisets(sig((1, 2, 3), n))
@@ -313,6 +314,14 @@ def test_canonical_form_vertex_relabelling_invariant():
         relab = EdgeColouring.from_function(
             col.m, col.n, lambda i, j: col.colour(perm[i], perm[j]))
         assert canonical_form(relab) == canonical_form(col)
+    # inputs with many tied orderings, relabelled by an affine map
+    for col, vertex, colour in [
+            (walecki(8), lambda v: (5 * v + 3) % 16, lambda c: 9 - c),
+            (construct(sig((1, 3), 4), Level.STRONG),          # AG(2, 3)
+             lambda v: (2 * v + 1) % 9, lambda c: 5 - c)]:
+        relab = EdgeColouring.from_function(
+            col.m, col.n, lambda i, j: colour(col.colour(vertex(i), vertex(j))))
+        assert canonical_form(relab) == canonical_form(col)
 
 
 def brute_force_canonical(col):
@@ -331,7 +340,9 @@ def brute_force_canonical(col):
 def test_canonical_form_exhaustive_small():
     # brute-force check: the canonical code really is the ordering minimum
     rng = random.Random(5)
-    cols = [EdgeColouring(4, 2, (1, 2, 2, 1, 2, 1))]
+    cols = [EdgeColouring(4, 2, (1, 2, 2, 1, 2, 1)), pentagon(),
+            EdgeColouring(5, 2, (1,) * 10), K4_MATCHINGS, walecki(3),
+            lambda2(standard_qn(5))]
     for m, n in [(3, 2), (4, 3), (5, 2), (5, 3), (6, 2), (6, 3), (6, 4)]:
         cols.append(EdgeColouring(m, n, tuple(
             rng.randint(1, n) for _ in range(m * (m - 1) // 2))))
@@ -394,6 +405,9 @@ def test_json_rejects_partial_edge_list():
     ({"vertices": 2, "colours": 1, "edges": [5]}, "edge 5 is not a list"),
     ({"vertices": 2, "colours": 1, "edges": [[0, 1]]},
      r"edge \[0, 1\] is not \[i, j, colour\]"),
+    ({"vertices": 0, "colours": 1, "edges": []}, "need at least one vertex"),
+    ({"vertices": 1, "colours": 0, "edges": []}, "need at least one colour"),
+    ({"vertices": 2, "colours": 1, "edges": 3}, "edges must be a list"),
 ])
 def test_json_rejects_malformed(doc, message):
     with pytest.raises(ValueError, match=message):

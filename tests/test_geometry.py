@@ -219,6 +219,8 @@ def test_drop_points_rejections():
         drop_points(affine_plane(5), [99])          # unknown point
     with pytest.raises(ValueError):
         drop_points(near_pencil(5), [0])            # not an affine plane
+    with pytest.raises(ValueError, match="not an affine plane of order >= 3"):
+        drop_points(affine_plane(2), [])
 
 
 def test_colouring_from_parallelism_near_pencil():
@@ -285,6 +287,8 @@ def test_linear_space_from_colouring_rejects_dichromatic():
     col = EdgeColouring(3, 2, (1, 1, 2))
     with pytest.raises(ValueError):
         linear_space_from_colouring(col)
+    with pytest.raises(ValueError, match="does not use every colour"):
+        linear_space_from_colouring(EdgeColouring(3, 2, (1, 1, 1)))
 
 
 def test_space_json_round_trip():

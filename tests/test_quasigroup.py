@@ -61,6 +61,9 @@ def test_validate_flags():
     broken = Quasigroup(3, ((0, 0, 2), (0, 1, 2), (2, 2, 2)))
     report = validate(broken)
     assert ("row", 0) in report.latin_violations
+    # 0*1 = 2 while 1*0 = 1
+    skew = Quasigroup(3, ((0, 2, 1), (1, 1, 0), (2, 0, 2)))
+    assert (0, 1) in validate(skew).commutativity_violations
 
 
 def test_quasigroup_shape_validation():
