@@ -143,6 +143,8 @@ class AtomStructure:
                 raise ValueError(f"triple {t} out of range")
 
     def conv(self, a: int) -> int:
+        if not 0 <= a < self.atom_count:
+            raise ValueError(f"atom {a} not in structure")
         return self.converse[a]
 
     def to_json(self) -> str:
@@ -168,9 +170,6 @@ class AtomStructure:
 def peircean_transforms(t, structure: AtomStructure) -> set:
     """The six triangle traverses of a triple, duplicates collapsed."""
     a, b, c = t
-    for x in t:
-        if not 0 <= x < structure.atom_count:
-            raise ValueError(f"atom {x} not in structure")
     v = structure.conv
     return {(a, b, c), (v(a), c, b), (c, v(b), a),
             (b, v(c), v(a)), (v(c), a, v(b)), (v(b), v(a), v(c))}

@@ -24,6 +24,8 @@ EXIT_VERIFY_FAILED = 2
 EXIT_BUDGET = 3
 EXIT_NOT_CONSTRUCTIBLE = 4
 
+TABLE_CELL_NODES = 100_000  # search budget of a table cell if none is given
+
 
 def _parse_s(text: str) -> frozenset:
     if text.strip() in ("", "empty", "0"):
@@ -116,15 +118,16 @@ def _budget(args):
 
 
 def _emit_colouring(col, sig, args, stream):
+    # the DOT file first: a bad --dot path must not follow a printed colouring
+    if getattr(args, "dot", None):
+        with open(args.dot, "w") as fh:
+            fh.write(col.to_dot() + "\n")
     text = col.to_json(sig)
     if getattr(args, "out", None):
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
     else:
         stream.write(text + "\n")
-    if getattr(args, "dot", None):
-        with open(args.dot, "w") as fh:
-            fh.write(col.to_dot() + "\n")
 
 
 def cmd_construct(args, out):
@@ -214,6 +217,7 @@ def cmd_table(args, out):
     if args.max_n < 1:
         raise ValueError(f"--max-n must be >= 1, got {args.max_n}")
     budget = _budget(args)
+    budget = TABLE_CELL_NODES if budget is None else budget
     rows = {}
     for s in RULES:
         cells = certify_summary_row(s, range(1, args.max_n + 1),

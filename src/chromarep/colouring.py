@@ -74,13 +74,13 @@ class EdgeColouring:
         return cls(m, n, cols)
 
     def colour(self, i: int, j: int) -> int:
-        """Colour of edge {i,j}; i and j must be distinct vertices in 0..m-1.
+        """Colour of edge {i,j}; ValueError unless i != j both lie in 0..m-1.
 
-        Not checked: a negative vertex silently reads another edge, so
-        functions that take a vertex from their caller check its range
-        first.  Readers at triangle scale decode the colouring once with
+        Readers at triangle scale decode the colouring once with
         ``colour_rows`` instead of calling this per side.
         """
+        if not (0 <= i < self.m and 0 <= j < self.m):
+            raise ValueError(f"edge {i, j} is not in K_{self.m}")
         return self.colours[edge_index(i, j)]
 
     def edges(self):
@@ -153,10 +153,6 @@ DOT_PALETTE = ("red", "blue", "green", "orange", "purple", "brown",
 
 def classify_triangle(col: EdgeColouring, x: int, y: int, z: int) -> int:
     """Number of distinct colours on the sides of triangle {x,y,z}."""
-    if len({x, y, z}) != 3:
-        raise ValueError("triangle vertices must be distinct")
-    if not all(0 <= v < col.m for v in (x, y, z)):
-        raise ValueError(f"triangle {x, y, z} has a vertex out of range")
     return len({col.colour(x, y), col.colour(y, z), col.colour(x, z)})
 
 
@@ -288,8 +284,6 @@ def verify(col: EdgeColouring, sig, level: Level) -> VerificationReport:
 
 def chromatic_degree(col: EdgeColouring, v: int) -> int:
     """Number of distinct colours on the edges incident to v."""
-    if not 0 <= v < col.m:
-        raise ValueError(f"vertex {v} out of range")
     return len({col.colour(v, w) for w in range(col.m) if w != v})
 
 
@@ -303,12 +297,7 @@ def saturate(col: EdgeColouring, v: int, sig) -> EdgeColouring:
     """
     if sig.s_set != frozenset({2}):
         raise ValueError("saturation argument only applies to S = {2}")
-    if col.n != sig.n:
-        raise ValueError("colour count mismatch")
-    if not 0 <= v < col.m:
-        raise ValueError(f"vertex {v} out of range")
-    base = verify(col, sig, Level.FEEBLE)
-    if base.forbidden_total:
+    if verify(col, sig, Level.FEEBLE).forbidden_total:
         raise ValueError("input already contains a forbidden triangle")
     present = {col.colour(v, w) for w in range(col.m) if w != v}
     missing = [d for d in range(1, sig.n + 1) if d not in present]

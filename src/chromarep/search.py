@@ -104,8 +104,9 @@ def _search_m(sig: Signature, level: Level, m: int, budget: _Budget):
     missing = len(realized_count)
     used = 0
 
-    # yields once per admissible colour of position idx, with it applied;
-    # the one bound: surjectivity or the missing multisets unreachable
+    # yields once per admissible colour of position idx, left in place
+    # (closures read only earlier positions); the one bound: surjectivity
+    # or the missing multisets unreachable
     def extend(idx):
         nonlocal missing, used
         if used + (total - idx) < n or (
@@ -135,7 +136,6 @@ def _search_m(sig: Signature, level: Level, m: int, budget: _Budget):
                         missing += 1
                 if new_colour:
                     used -= 1
-                colours[idx] = 0
 
     # gen colours the current position; those before it wait on a stack,
     # since nesting C(m, 2) generators would pass the recursion limit

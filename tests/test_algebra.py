@@ -75,6 +75,9 @@ def test_peircean_transforms_rejects_unknown_atom():
     st = chromatic_atoms(sig((3,), 3))
     with pytest.raises(ValueError):
         peircean_transforms((1, 2, 9), st)
+    for a in (-1, 4):   # atoms are 0..3
+        with pytest.raises(ValueError, match=f"atom {a} not in structure"):
+            st.conv(a)
 
 
 def test_structure_check_all_signatures():

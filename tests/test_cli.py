@@ -29,6 +29,11 @@ def test_construct_emits_json(tmp_path):
     assert doc["vertices"] == 8
     assert doc["signature"] == {"s": [2, 3], "n": 4}
     assert dot.read_text().startswith("graph colouring {")
+    # an unwritable DOT path fails before any colouring is printed
+    code, out = run_cli("construct", "--s", "2", "--n", "2",
+                        "--level", "strong", "--dot", str(tmp_path))
+    assert code == 1
+    assert out.startswith("error:") and out.count("\n") == 1
 
 
 def test_construct_to_stdout():
@@ -258,13 +263,20 @@ def test_one_verdict_wording(s, n, level, budget, construct_code):
     assert searched == lines[1] == cell.detail
 
 
-def test_table():
-    code, out = run_cli("table", "--max-n", "1")
+def test_table(monkeypatch):
+    # with no budget each delegated cell stops at the default node budget,
+    # so {1,2} strong n=2 ends and the cells match the golden table's
+    monkeypatch.delenv("CHROMATIC_BUDGET_NODES", raising=False)
+    code, out = run_cli("table", "--max-n", "2")
     assert code == 0
     doc = json.loads(out)
     assert set(doc) == {"{1,2,3}", "{2,3}", "{1,3}", "{1,2}", "{3}", "{2}",
                         "{1}", "{}"}
     assert doc["{3}"]["n=1"]["qualitative"]["status"] == "Constructed"
+    golden = json.loads(
+        (Path(__file__).parent / "golden_table.json").read_text())
+    assert doc == {s: {f"n={n}": row[f"n={n}"] for n in (1, 2)}
+                   for s, row in golden.items()}
     # every verdict, reason and search summary up to n = 6; the budget
     # bounds the {1,2} qualitative and strong searches, and raising it to
     # 20000 gives the same table

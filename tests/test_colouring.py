@@ -61,6 +61,10 @@ def test_classify_triangle():
         classify_triangle(pentagon(), -1, 0, 1)
     with pytest.raises(ValueError):
         classify_triangle(pentagon(), 0, 1, 5)
+    # the accessor itself rejects a vertex outside 0..m-1
+    for i, j in ((-1, 0), (0, 5)):
+        with pytest.raises(ValueError, match=r"is not in K_5"):
+            pentagon().colour(i, j)
 
 
 def test_required_multisets():
@@ -269,6 +273,11 @@ def test_saturate_chain_vertex():
     for v in (-1, 3, 5):    # no such vertex
         with pytest.raises(ValueError):
             saturate(chain, v, s)
+    with pytest.raises(ValueError, match="colouring has 2 colours, "
+                                         "signature wants 3"):
+        saturate(chain, 0, sig((2,), 3))
+    with pytest.raises(ValueError, match="forbidden triangle"):
+        saturate(EdgeColouring(3, 2, (1, 1, 1)), 0, s)
     # vertex 3 of the 3-colour chain misses colours 1 and 2, so two twins
     # are added; the edge between the twins copies the first twin's edge to 3
     s = sig((2,), 3)

@@ -69,6 +69,8 @@ def test_validate_flags():
 def test_quasigroup_shape_validation():
     with pytest.raises(ValueError):
         Quasigroup(3, ((0, 1), (1, 0)))
+    with pytest.raises(ValueError, match="rows must have order entries"):
+        Quasigroup(2, ((0, 1), (1,)))
 
 
 def test_three_cycle_condition_standard():
@@ -143,6 +145,9 @@ def test_lambda1():
         assert len(set(cols)) == len(cols)
     # order-3 case: the all-distinct K3
     assert sorted(lambda1(standard_qn(3)).colours) == [1, 2, 3]
+    skew = Quasigroup(3, ((0, 2, 1), (1, 1, 0), (2, 0, 2)))
+    with pytest.raises(ValueError, match="not a commutative idempotent"):
+        lambda1(skew)
 
 
 def test_lambda2():
@@ -209,6 +214,8 @@ def test_quasigroup_from_colouring_rejects():
         quasigroup_from_colouring(EdgeColouring(3, 3, (1, 1, 2)))
     with pytest.raises(ValueError):  # wrong vertex count
         quasigroup_from_colouring(lambda1(standard_qn(5)))
+    with pytest.raises(ValueError, match="not a qualitative trichromatic"):
+        quasigroup_from_colouring(EdgeColouring(4, 3, (1,) * 6))
 
 
 def test_quasigroup_json_round_trip():
