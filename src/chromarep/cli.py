@@ -24,7 +24,9 @@ EXIT_VERIFY_FAILED = 2
 EXIT_BUDGET = 3
 EXIT_NOT_CONSTRUCTIBLE = 4
 
-TABLE_CELL_NODES = 100_000  # search budget of a table cell if none is given
+# search budget of a delegating construct, and of each delegated table
+# cell, when none is given
+DELEGATED_SEARCH_NODES = 100_000
 
 
 def _parse_s(text: str) -> frozenset:
@@ -64,7 +66,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write colouring JSON here")
     p.add_argument("--dot", help="write DOT export here")
     p.add_argument("--budget-nodes", type=int, default=None,
-                   help="search budget when construction delegates")
+                   help="search budget when construction delegates "
+                        f"(default {DELEGATED_SEARCH_NODES})")
 
     p = sub.add_parser("verify", help="verify a colouring JSON file")
     _add_signature_args(p)
@@ -103,8 +106,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _budget(args):
-    """--budget-nodes, else CHROMATIC_BUDGET_NODES, else no budget."""
+def _budget(args, default=None):
+    """--budget-nodes, else CHROMATIC_BUDGET_NODES, else ``default``."""
     budget = getattr(args, "budget_nodes", None)
     raw = os.environ.get("CHROMATIC_BUDGET_NODES")
     if budget is None and raw:
@@ -114,7 +117,7 @@ def _budget(args):
         budget = int(raw)
     if budget is not None and budget < 0:
         raise ValueError(f"node budget must be >= 0, got {budget}")
-    return budget
+    return default if budget is None else budget
 
 
 def _emit_colouring(col, sig, args, stream):
@@ -138,7 +141,8 @@ def cmd_construct(args, out):
         return EXIT_NOT_CONSTRUCTIBLE
     if isinstance(result, DelegatedToSearch):
         out.write(f"delegated to search: {result.reason}\n")
-        outcome = search(sig, args.level, node_budget=_budget(args))
+        outcome = search(sig, args.level,
+                         node_budget=_budget(args, DELEGATED_SEARCH_NODES))
         out.write(outcome.summary() + "\n")
         if outcome.status == "aborted":
             return EXIT_BUDGET
@@ -161,8 +165,7 @@ def cmd_verify(args, out):
     sig = Signature(args.s, args.n)
     with open(args.infile) as fh:
         text = fh.read()
-    col = EdgeColouring.from_json(text)
-    declared = json.loads(text).get("signature")
+    col, declared = EdgeColouring.from_json_with_signature(text)
     if declared is not None and not _names_signature(declared, sig):
         expected = {"s": sorted(sig.s_set), "n": sig.n}
         raise ValueError(
@@ -216,8 +219,7 @@ def cmd_witness(args, out):
 def cmd_table(args, out):
     if args.max_n < 1:
         raise ValueError(f"--max-n must be >= 1, got {args.max_n}")
-    budget = _budget(args)
-    budget = TABLE_CELL_NODES if budget is None else budget
+    budget = _budget(args, DELEGATED_SEARCH_NODES)
     rows = {}
     for s in RULES:
         cells = certify_summary_row(s, range(1, args.max_n + 1),

@@ -102,9 +102,15 @@ class EdgeColouring:
     @classmethod
     def from_json(cls, text: str) -> "EdgeColouring":
         """Parse the JSON form; malformed input raises ValueError."""
+        return cls.from_json_with_signature(text)[0]
+
+    @classmethod
+    def from_json_with_signature(cls, text: str):
+        """Parse the JSON form into (colouring, the document's "signature"
+        entry as written, or None); malformed input raises ValueError."""
         doc = _json_object(text, "colouring", "vertices", "edges")
-        declared = doc.get("signature")
-        declared = declared if isinstance(declared, dict) else {}
+        entry = doc.get("signature")
+        declared = entry if isinstance(entry, dict) else {}
         if "colours" not in doc and "n" not in declared:
             raise ValueError("colouring JSON needs 'vertices', 'edges' and "
                              "'colours' or 'signature.n'")
@@ -131,7 +137,7 @@ class EdgeColouring:
             if cols[edge_index(i, j)] is not None:
                 raise ValueError(f"edge {i},{j} is listed twice")
             cols[edge_index(i, j)] = c
-        return cls(m, n, tuple(cols))
+        return cls(m, n, tuple(cols)), entry
 
     def to_dot(self) -> str:
         """Undirected DOT export with a fixed 12-colour palette.
@@ -186,12 +192,12 @@ class VerificationReport:
         return f"{self.level_requested.value}: FAIL ({'; '.join(bits)})"
 
 
-def colour_rows(col: EdgeColouring) -> list[list[int]]:
-    """The colour matrix: ``rows[v][w]`` is the colour of {v, w}, and 0 on
+def colour_rows(m: int, colours) -> list[list[int]]:
+    """The colour matrix of K_m whose edge colours ``colours`` come in
+    enumeration order: ``rows[v][w]`` is the colour of {v, w}, and 0 on
     the diagonal.  Every triangle-scale reader works on it."""
-    m = col.m
     rows = [[0] * m for _ in range(m)]
-    colours = iter(col.colours)
+    colours = iter(colours)
     for j in range(1, m):
         row_j = rows[j]
         for i in range(j):
@@ -227,6 +233,40 @@ def triangle_scan(rows, sig):
     return total, witnesses, first
 
 
+def unwitnessed(rows, sig):
+    """Yield the strong-level failures of the colour matrix ``rows``.
+
+    First ``((v, v), (a, a, 0))`` for each vertex v and each colour a it
+    is not incident to, then ``((i, j), (a, b, c))`` for each edge {i, j}
+    of colour c, in enumeration order, and each pair (a, b) of
+    ``witness_pairs(sig)[c]`` that no vertex w witnesses with
+    colour(i, w) = a and colour(w, j) = b.  ``verify`` and the search's
+    strong leaves share it.
+    """
+    n = sig.n
+    # neigh[v][c]: bitmask of the w with colour(v, w) = c (v itself sits in
+    # colour 0)
+    neigh = []
+    for row in rows:
+        masks = [0] * (n + 1)
+        for w, c in enumerate(row):
+            masks[c] |= 1 << w
+        neigh.append(masks)
+    for v, masks in enumerate(neigh):
+        for a in range(1, n + 1):
+            if not masks[a]:
+                yield (v, v), (a, a, 0)
+    pairs = witness_pairs(sig)
+    for j in range(1, len(rows)):
+        row_j, neigh_j = rows[j], neigh[j]
+        for i in range(j):
+            neigh_i = neigh[i]
+            c = row_j[i]
+            for a, b in pairs[c]:
+                if not neigh_i[a] & neigh_j[b]:
+                    yield (i, j), (a, b, c)
+
+
 def verify(col: EdgeColouring, sig, level: Level) -> VerificationReport:
     """Check a colouring against a chromatic signature at the given level.
 
@@ -240,7 +280,7 @@ def verify(col: EdgeColouring, sig, level: Level) -> VerificationReport:
         raise ValueError(f"colouring has {col.n} colours, signature wants {sig.n}")
     report = VerificationReport(level_requested=level, passed=False,
                                 surjective=len(col.used_colours()) == sig.n)
-    rows = colour_rows(col)
+    rows = colour_rows(col.m, col.colours)
     (report.forbidden_total, report.forbidden_witnesses,
      realized) = triangle_scan(rows, sig)
 
@@ -249,32 +289,10 @@ def verify(col: EdgeColouring, sig, level: Level) -> VerificationReport:
             t for k, t in enumerate(required_multisets(sig)) if k not in realized]
 
     if level is Level.STRONG:
-        failures = report.strong_failures
-        # neigh[v][c]: bitmask of the w with colour(v, w) = c (v itself
-        # sits in colour 0)
-        neigh = []
-        for row in rows:
-            masks = [0] * (sig.n + 1)
-            for w, c in enumerate(row):
-                masks[c] |= 1 << w
-            neigh.append(masks)
-        for v, masks in enumerate(neigh):
-            for a in range(1, sig.n + 1):
-                if not masks[a]:
-                    report.strong_total += 1
-                    if len(failures) < MAX_WITNESSES:
-                        failures.append(((v, v), (a, a, 0)))
-        pairs = witness_pairs(sig)
-        for j in range(1, col.m):
-            row_j, neigh_j = rows[j], neigh[j]
-            for i in range(j):
-                neigh_i = neigh[i]
-                c = row_j[i]
-                for a, b in pairs[c]:
-                    if not neigh_i[a] & neigh_j[b]:
-                        report.strong_total += 1
-                        if len(failures) < MAX_WITNESSES:
-                            failures.append(((i, j), (a, b, c)))
+        for failure in unwitnessed(rows, sig):
+            report.strong_total += 1
+            if len(report.strong_failures) < MAX_WITNESSES:
+                report.strong_failures.append(failure)
 
     report.passed = (report.surjective and report.forbidden_total == 0
                      and not report.missing_required
@@ -325,7 +343,7 @@ def canonical_form(col: EdgeColouring) -> EdgeColouring:
     far.  Memory grows with the number of tied orderings (one per
     automorphism at the end, m! for a single-colour clique).  Idempotent.
     """
-    m, rows = col.m, colour_rows(col)
+    m, rows = col.m, colour_rows(col.m, col.colours)
     tied, code = [((), {})], []
     for _ in range(m):
         least, extended = None, []

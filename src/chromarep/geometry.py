@@ -149,8 +149,8 @@ def check_ls5(sp: LinearSpace, pw: Parallelism) -> Ls5Report:
     input is no linear space with a parallelism.
     """
     sig = Signature(frozenset({1, 3}), len(pw.blocks))
-    _, _, first = triangle_scan(
-        colour_rows(colouring_from_parallelism(sp, pw)), sig)
+    col = colouring_from_parallelism(sp, pw)
+    _, _, first = triangle_scan(colour_rows(col.m, col.colours), sig)
     report = Ls5Report(valid=True)
     for k, (a, b, c) in enumerate(required_multisets(sig)):
         if not a < b < c:
@@ -300,7 +300,7 @@ def linear_space_from_colouring(col: EdgeColouring):
     the lines and the classes the parallel blocks.
     """
     sig = Signature(frozenset({1, 3}), col.n)
-    rows = colour_rows(col)
+    rows = colour_rows(col.m, col.colours)
     if triangle_scan(rows, sig)[0]:
         raise ValueError("colouring has a dichromatic triangle")
     if len(col.used_colours()) != col.n:

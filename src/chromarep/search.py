@@ -8,7 +8,7 @@ It prunes when a completed triangle has a forbidden type, and on entering a
 position by one bound: too few edges left for surjectivity, or too few
 triangles for the missing multisets.  Exhausting the default range
 [2, 3(n+1)] is reported as a qualitative nonexistence certificate; that
-rests on the range being complete, which is unproved (ROADMAP.md, item 1).
+rests on the range being complete, which is unproved (ROADMAP.md, item 2).
 For the other levels exhaustion is only a range-limited answer.
 """
 
@@ -19,7 +19,8 @@ import time
 from dataclasses import dataclass, field
 
 from .algebra import FORBIDDEN, Signature, required_multisets, triangle_table
-from .colouring import EdgeColouring, Level, canonical_form, edge_list, verify
+from .colouring import (EdgeColouring, Level, canonical_form, colour_rows,
+                        edge_list, unwitnessed, verify)
 from .constructions import NotConstructible, construct
 
 
@@ -90,6 +91,7 @@ def _search_m(sig: Signature, level: Level, m: int, budget: _Budget):
     edges = edge_list(m)
     total = len(edges)
     need_multisets = level is not Level.FEEBLE
+    strong = level is Level.STRONG
 
     # triangles completed by each edge: (i, j) closes {k, i, j} for k < i
     closures = [[(i * (i - 1) // 2 + k, j * (j - 1) // 2 + k)
@@ -148,13 +150,16 @@ def _search_m(sig: Signature, level: Level, m: int, budget: _Budget):
                 break
             if used != n or (need_multisets and missing):  # bound at total
                 continue
+            # everything but the strong witnesses is settled by now; a leaf
+            # that lacks one never reaches verify
+            if strong and next(unwitnessed(colour_rows(m, colours), sig),
+                               None) is not None:
+                continue
             cand = EdgeColouring(m, n, tuple(colours))
-            report = verify(cand, sig, level)  # independent soundness check
-            if report.passed:
-                yield cand
-            elif level is not Level.STRONG:
-                # strong witnesses are only checked post-hoc
+            # independent soundness check
+            if not verify(cand, sig, level).passed:
                 raise AssertionError("search produced an invalid colouring")
+            yield cand
         else:
             gen = stack.pop() if stack else None
 

@@ -57,6 +57,18 @@ def test_construct_delegates_to_search():
     assert "delegated to search" in out
 
 
+def test_construct_default_budget(monkeypatch):
+    # with no budget given, a delegated search stops at the default node
+    # budget instead of running without limit
+    monkeypatch.delenv("CHROMATIC_BUDGET_NODES", raising=False)
+    code, out = run_cli("construct", "--s", "1,2", "--n", "2",
+                        "--level", "strong")
+    assert code == 3
+    lines = out.splitlines()
+    assert lines[0].startswith("delegated to search:")
+    assert lines[1:] == ["budget exhausted"]
+
+
 def test_verify_pass_and_fail(tmp_path):
     target = tmp_path / "w.json"
     run_cli("construct", "--s", "2,3", "--n", "3", "--level", "qualitative",

@@ -3,7 +3,7 @@
 import json
 import random
 from dataclasses import asdict
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from pathlib import Path
 
 import pytest
@@ -12,7 +12,8 @@ from chromarep.algebra import MAX_WITNESSES, Signature, required_multisets
 from chromarep.colouring import (DOT_PALETTE, EdgeColouring, Level,
                                  are_isomorphic, canonical_form,
                                  chromatic_degree, classify_triangle,
-                                 edge_index, edge_list, saturate, verify)
+                                 colour_rows, edge_index, edge_list, saturate,
+                                 unwitnessed, verify)
 from chromarep.constructions import (chain_colouring, construct, pentagon,
                                      walecki)
 from chromarep.quasigroup import lambda1, lambda2, standard_qn
@@ -127,6 +128,20 @@ def test_verify_strong_failure_records():
         if c != 0:
             assert not any(col.colour(x, z) == a and col.colour(z, y) == b
                            for z in range(col.m) if z not in (x, y))
+
+
+@pytest.mark.parametrize("s, n, m", [((2,), 2, 5), ((1, 2), 2, 5),
+                                     ((2, 3), 3, 4)])
+def test_unwitnessed_matches_verify(s, n, m):
+    # the search drops a strong leaf at unwitnessed's first failure and
+    # sends only the rest to verify, so over every colouring of K_m the two
+    # must agree on which colourings have a strong failure, and on the
+    # failures verify lists
+    for colours in product(range(1, n + 1), repeat=m * (m - 1) // 2):
+        failures = list(unwitnessed(colour_rows(m, colours), sig(s, n)))
+        report = verify(EdgeColouring(m, n, colours), sig(s, n), Level.STRONG)
+        assert (not failures) == (report.strong_total == 0), colours
+        assert failures[:MAX_WITNESSES] == report.strong_failures, colours
 
 
 def oracle_verify(col, s_set, level):

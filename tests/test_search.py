@@ -1,11 +1,13 @@
 """Exhaustive search, enumeration and the summary-table cross-check."""
 
+import importlib
 from itertools import product
 
 import pytest
 
 from chromarep.algebra import Signature
-from chromarep.colouring import EdgeColouring, Level, canonical_form, verify
+from chromarep.colouring import (EdgeColouring, Level, VerificationReport,
+                                 canonical_form, verify)
 from chromarep.constructions import pentagon
 from chromarep.search import (certify_summary_row, default_m_range,
                               enumerate_representations, search)
@@ -105,7 +107,7 @@ BRUTE_FORCE_CASES = [
     ((2, 3), 2, Level.QUALITATIVE, 5), ((3,), 2, Level.QUALITATIVE, 4),
     ((3,), 3, Level.QUALITATIVE, 3), ((3,), 3, Level.QUALITATIVE, 4),
     ((2, 3), 3, Level.FEEBLE, 4), ((1, 3), 2, Level.FEEBLE, 5),
-    ((1, 2), 2, Level.STRONG, 5),
+    ((1, 2), 2, Level.STRONG, 5), ((2,), 2, Level.STRONG, 5),
 ]
 
 
@@ -124,6 +126,19 @@ def test_symmetry_breaking_safety(s, n, level, m):
     found, partial = enumerate_representations(sig(s, n), level, m)
     assert not partial
     assert [c.colours for c in found] == sorted(brute)
+
+
+def test_leaf_reaching_verify_must_pass(monkeypatch):
+    # a strong leaf with every witness goes to verify, and a verify that
+    # disagrees stops the search instead of being skipped
+    def failing(col, sig, level):
+        return VerificationReport(level_requested=level, passed=False,
+                                  surjective=True)
+    # the package exports the function search, so name the module itself
+    monkeypatch.setattr(importlib.import_module("chromarep.search"),
+                        "verify", failing)
+    with pytest.raises(AssertionError, match="invalid colouring"):
+        search(sig((2,), 2), Level.STRONG)
 
 
 def test_too_small_k_m_visits_no_node():
