@@ -5,6 +5,7 @@ enumeration at desk scale."""
 from .algebra import (AtomStructure, Signature, check_na_atom_structure,
                       chromatic_atoms, compose, is_associative,
                       peircean_transforms)
+from .cli import certify_summary_row
 from .colouring import (EdgeColouring, Level, VerificationReport,
                         are_isomorphic, canonical_form, chromatic_degree,
                         classify_triangle, saturate, verify)
@@ -16,8 +17,7 @@ from .geometry import (LinearSpace, Parallelism, affine_plane,
 from .quasigroup import (Quasigroup, lambda1, lambda2,
                          quasigroup_from_colouring, standard_qn,
                          three_cycle_condition)
-from .search import (SearchOutcome, certify_summary_row,
-                     enumerate_representations, search)
+from .search import SearchOutcome, enumerate_representations, search
 
 __all__ = [
     "AtomStructure", "Signature", "check_na_atom_structure",

@@ -8,15 +8,14 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, dataclass
 
 from .algebra import Signature
 from .colouring import EdgeColouring, Level, verify
 from .constructions import (RULES, DelegatedToSearch, NotConstructible,
                             construct, walecki_colour, walecki_witness)
-from .search import certify_summary_row, enumerate_representations, search
+from .search import enumerate_representations, search
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -24,8 +23,7 @@ EXIT_VERIFY_FAILED = 2
 EXIT_BUDGET = 3
 EXIT_NOT_CONSTRUCTIBLE = 4
 
-# search budget of a delegating construct, and of each delegated table
-# cell, when none is given
+# search budget of a delegating construct and of each delegated table cell
 DELEGATED_SEARCH_NODES = 100_000
 
 
@@ -65,9 +63,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--level", type=_parse_level, required=True)
     p.add_argument("--out", help="write colouring JSON here")
     p.add_argument("--dot", help="write DOT export here")
-    p.add_argument("--budget-nodes", type=int, default=None,
-                   help="search budget when construction delegates "
-                        f"(default {DELEGATED_SEARCH_NODES})")
 
     p = sub.add_parser("verify", help="verify a colouring JSON file")
     _add_signature_args(p)
@@ -79,11 +74,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--level", type=_parse_level, required=True)
     p.add_argument("--max-m", type=int, default=None)
     p.add_argument("--budget-nodes", type=int, default=None)
-    p.add_argument("--threads", type=int, default=1,
-                   help="accepted for compatibility; the search runs "
-                        "sequentially")
-    p.add_argument("--strict-determinism", action="store_true",
-                   help="no-op: results are deterministic already")
     p.add_argument("--out", help="write a found colouring JSON here")
 
     p = sub.add_parser("enumerate",
@@ -102,22 +92,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("table", help="recompute the representability table")
     p.add_argument("--max-n", type=int, default=4)
-    p.add_argument("--budget-nodes", type=int, default=None)
     return parser
 
 
-def _budget(args, default=None):
-    """--budget-nodes, else CHROMATIC_BUDGET_NODES, else ``default``."""
-    budget = getattr(args, "budget_nodes", None)
-    raw = os.environ.get("CHROMATIC_BUDGET_NODES")
-    if budget is None and raw:
-        if not raw.strip().isdecimal():
-            raise ValueError("CHROMATIC_BUDGET_NODES must be an integer "
-                             f">= 0, got {raw!r}")
-        budget = int(raw)
-    if budget is not None and budget < 0:
-        raise ValueError(f"node budget must be >= 0, got {budget}")
-    return default if budget is None else budget
+def _budget(args):
+    """--budget-nodes; None searches without limit."""
+    if args.budget_nodes is not None and args.budget_nodes < 0:
+        raise ValueError(f"node budget must be >= 0, got {args.budget_nodes}")
+    return args.budget_nodes
 
 
 def _emit_colouring(col, sig, args, stream):
@@ -141,8 +123,7 @@ def cmd_construct(args, out):
         return EXIT_NOT_CONSTRUCTIBLE
     if isinstance(result, DelegatedToSearch):
         out.write(f"delegated to search: {result.reason}\n")
-        outcome = search(sig, args.level,
-                         node_budget=_budget(args, DELEGATED_SEARCH_NODES))
+        outcome = search(sig, args.level, node_budget=DELEGATED_SEARCH_NODES)
         out.write(outcome.summary() + "\n")
         if outcome.status == "aborted":
             return EXIT_BUDGET
@@ -216,14 +197,47 @@ def cmd_witness(args, out):
     return EXIT_OK
 
 
+@dataclass
+class TableCell:
+    status: str  # Constructed | FoundBySearch | CertifiedNonexistent |
+    #              OutOfScope | Unknown
+    detail: str = ""
+
+
+def certify_summary_row(s_set, n_range):
+    """One summary-table row at desk scale: each (n, level) cell holds
+    ``construct``'s verdict, and only the cells it delegates run the
+    search, within DELEGATED_SEARCH_NODES."""
+    cells = {}
+    for n in n_range:
+        sig = Signature(frozenset(s_set), n)
+        for level in Level:
+            result = construct(sig, level)
+            if isinstance(result, EdgeColouring):
+                cell = TableCell("Constructed", f"m={result.m}")
+            elif isinstance(result, NotConstructible):
+                cell = TableCell("CertifiedNonexistent" if result.nonexistent
+                                 else "OutOfScope", result.reason)
+            else:  # delegated to search
+                outcome = search(sig, level,
+                                 node_budget=DELEGATED_SEARCH_NODES)
+                if outcome.status == "found":
+                    status = "FoundBySearch"
+                elif outcome.complete_certificate:
+                    status = "CertifiedNonexistent"
+                else:
+                    status = "Unknown"
+                cell = TableCell(status, outcome.summary())
+            cells[(n, level)] = cell
+    return cells
+
+
 def cmd_table(args, out):
     if args.max_n < 1:
         raise ValueError(f"--max-n must be >= 1, got {args.max_n}")
-    budget = _budget(args, DELEGATED_SEARCH_NODES)
     rows = {}
     for s in RULES:
-        cells = certify_summary_row(s, range(1, args.max_n + 1),
-                                    node_budget=budget)
+        cells = certify_summary_row(s, range(1, args.max_n + 1))
         row = rows["{" + ",".join(str(x) for x in sorted(s)) + "}"] = {}
         for (n, level), cell in cells.items():
             row.setdefault(f"n={n}", {})[level.value] = asdict(cell)

@@ -48,7 +48,7 @@ class EdgeColouring:
     """Symmetric proper-colour assignment on the edges of K_m.
 
     ``colours`` holds one entry per edge in enumeration order.  Instances
-    are immutable and safe to share between threads.
+    are immutable, so callers may share them freely.
     """
 
     m: int

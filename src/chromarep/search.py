@@ -6,10 +6,11 @@ order, taking colours in first-occurrence order (a triangle's consistency
 depends only on how many distinct colours it has, so no iso-class is lost).
 It prunes when a completed triangle has a forbidden type, and on entering a
 position by one bound: too few edges left for surjectivity, or too few
-triangles for the missing multisets.  Exhausting the default range
-[2, 3(n+1)] is reported as a qualitative nonexistence certificate; that
-rests on the range being complete, which is unproved (ROADMAP.md, item 2).
-For the other levels exhaustion is only a range-limited answer.
+triangles for the missing multisets.  Two exhaustions are reported as
+nonexistence certificates: the default range [2, 3(n+1)] at the qualitative
+level, which rests on the range being complete, unproved (ROADMAP.md, item
+2); and [2, 2n] at the feeble level, which is proved (see ``search``).  Any
+other exhaustion is only a range-limited answer.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from dataclasses import dataclass, field
 from .algebra import FORBIDDEN, Signature, required_multisets, triangle_table
 from .colouring import (EdgeColouring, Level, canonical_form, colour_rows,
                         edge_list, unwitnessed, verify)
-from .constructions import NotConstructible, construct
 
 
 class BudgetExceeded(Exception):
@@ -43,8 +43,7 @@ class SearchOutcome:
     m_max: int | None
     nodes: int
     per_m: list = field(default_factory=list)
-    # True when full exhaustion of the default range certifies qualitative
-    # nonexistence
+    # True when the exhausted range certifies nonexistence (see search)
     complete_certificate: bool = False
 
     def summary(self) -> str:
@@ -66,7 +65,8 @@ class SearchOutcome:
 
 def default_m_range(sig: Signature) -> tuple[int, int]:
     """[2, 3 |atoms|]; qualitative certificates assume, unproved, that it
-    is complete for qualitative existence."""
+    is complete for qualitative existence.  It contains [2, 2n], which is
+    proved complete for feeble existence."""
     return 2, 3 * (sig.n + 1)
 
 
@@ -168,9 +168,18 @@ def search(sig: Signature, level: Level, m_range=None,
            node_budget=None) -> SearchOutcome:
     """Look for a representation of the signature at the given level.
 
-    Vertex counts are tried in ascending order.  Exhausting the default
-    range is a nonexistence certificate for the qualitative level only;
-    budget exhaustion always reports "aborted", never nonexistence.
+    Vertex counts are tried in ascending order; budget exhaustion always
+    reports "aborted", never nonexistence.  Exhausting a range from m=2 is a
+    nonexistence certificate in two cases:
+
+    - qualitative, when the range covers the default one, assumed (unproved)
+      complete;
+    - feeble, when the range reaches 2n.  Pick one edge of each colour of a
+      feeble representation.  The complete graph induced on their at most
+      2n endpoints still uses every colour and has no forbidden triangle,
+      so it is a feeble representation on 2..2n vertices.
+
+    Strong exhaustion certifies nothing.
     """
     default_lo, default_hi = default_m_range(sig)
     lo, hi = m_range if m_range is not None else (default_lo, default_hi)
@@ -190,8 +199,9 @@ def search(sig: Signature, level: Level, m_range=None,
                           time.perf_counter() - start))
         if status in ("found", "aborted"):
             return SearchOutcome(status, hit, None, budget.nodes, per_m)
-    certificate = (level is Level.QUALITATIVE
-                   and lo <= default_lo and hi >= default_hi)
+    certificate = lo <= default_lo and (
+        level is Level.QUALITATIVE and hi >= default_hi
+        or level is Level.FEEBLE and hi >= 2 * sig.n)
     return SearchOutcome("exhausted", None, hi, budget.nodes, per_m,
                          complete_certificate=certificate)
 
@@ -218,36 +228,3 @@ def enumerate_representations(sig: Signature, level: Level, m: int,
     ordered = [canon[key] for key in sorted(canon)]
     return ordered, partial
 
-
-@dataclass
-class TableCell:
-    status: str  # Constructed | FoundBySearch | CertifiedNonexistent |
-    #              OutOfScope | Unknown
-    detail: str = ""
-
-
-def certify_summary_row(s_set, n_range, node_budget=None):
-    """One summary-table row at desk scale: each (n, level) cell holds
-    ``construct``'s verdict, and only the cells it delegates run the
-    search."""
-    cells = {}
-    for n in n_range:
-        sig = Signature(frozenset(s_set), n)
-        for level in Level:
-            result = construct(sig, level)
-            if isinstance(result, EdgeColouring):
-                cell = TableCell("Constructed", f"m={result.m}")
-            elif isinstance(result, NotConstructible):
-                cell = TableCell("CertifiedNonexistent" if result.nonexistent
-                                 else "OutOfScope", result.reason)
-            else:  # delegated to search
-                outcome = search(sig, level, node_budget=node_budget)
-                if outcome.status == "found":
-                    status = "FoundBySearch"
-                elif outcome.complete_certificate:
-                    status = "CertifiedNonexistent"
-                else:
-                    status = "Unknown"
-                cell = TableCell(status, outcome.summary())
-            cells[(n, level)] = cell
-    return cells

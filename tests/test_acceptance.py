@@ -7,6 +7,7 @@ from itertools import combinations
 
 from chromarep.algebra import Signature, chromatic_atoms, \
     check_na_atom_structure, compose, is_associative
+from chromarep.cli import certify_summary_row
 from chromarep.colouring import (EdgeColouring, Level, canonical_form,
                                  verify)
 from chromarep.constructions import (chain_colouring, construct, pentagon,
@@ -17,8 +18,7 @@ from chromarep.geometry import (affine_plane, colouring_from_parallelism,
 from chromarep.quasigroup import (lambda1, lambda2,
                                   quasigroup_from_colouring, standard_qn,
                                   validate)
-from chromarep.search import (certify_summary_row,
-                              enumerate_representations, search)
+from chromarep.search import enumerate_representations, search
 
 
 def sig(s, n):

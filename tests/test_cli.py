@@ -7,9 +7,10 @@ from pathlib import Path
 import pytest
 
 from chromarep.algebra import Signature
-from chromarep.cli import run
+from chromarep.cli import DELEGATED_SEARCH_NODES, run
 from chromarep.colouring import Level
-from chromarep.search import certify_summary_row
+
+GOLDEN_TABLE = Path(__file__).parent / "golden_table.json"
 
 
 def run_cli(*argv):
@@ -57,10 +58,9 @@ def test_construct_delegates_to_search():
     assert "delegated to search" in out
 
 
-def test_construct_default_budget(monkeypatch):
-    # with no budget given, a delegated search stops at the default node
-    # budget instead of running without limit
-    monkeypatch.delenv("CHROMATIC_BUDGET_NODES", raising=False)
+def test_construct_default_budget():
+    # a delegated search stops at the fixed node budget instead of running
+    # without limit
     code, out = run_cli("construct", "--s", "1,2", "--n", "2",
                         "--level", "strong")
     assert code == 3
@@ -147,7 +147,6 @@ def test_search_certified_nonexistent(monkeypatch, dichromatic_certificate):
         assert m_range is None and node_budget is None
         return outcome
 
-    monkeypatch.delenv("CHROMATIC_BUDGET_NODES", raising=False)
     monkeypatch.setattr("chromarep.cli.search", stub)
     code, out = run_cli("search", "--s", "2", "--n", "3",
                         "--level", "qualitative")
@@ -186,17 +185,6 @@ def test_search_zero_budget_and_bad_numbers():
                  ["table", "--max-n", "0"]):
         code, out = run_cli(*argv)
         assert code == 1 and "error:" in out, argv
-
-
-def test_search_env_budget(monkeypatch):
-    monkeypatch.setenv("CHROMATIC_BUDGET_NODES", "100")
-    code, _ = run_cli("search", "--s", "2", "--n", "3",
-                      "--level", "qualitative")
-    assert code == 3
-    monkeypatch.setenv("CHROMATIC_BUDGET_NODES", "abc")
-    code, out = run_cli("search", "--s", "2", "--n", "3",
-                        "--level", "qualitative")
-    assert code == 1 and out.startswith("error: CHROMATIC_BUDGET_NODES"), out
 
 
 def test_search_transcript_is_line_json():
@@ -238,13 +226,14 @@ def test_witness():
 
 def test_deep_searches_finish():
     # K_m with C(m, 2) > 1000 edges: one nested generator per edge would
-    # pass the recursion limit
+    # pass the recursion limit; each range reaches 2n, so exhaustion
+    # certifies
     for argv, tail in [
-            (("--n", "15"), "none found (range-limited) up to m=48"),
+            (("--n", "15"), "certified nonexistent up to m=48"),
             (("--n", "15", "--max-m", "60"),
-             "none found (range-limited) up to m=60"),
+             "certified nonexistent up to m=60"),
             (("--n", "2", "--max-m", "46"),
-             "none found (range-limited) up to m=46")]:
+             "certified nonexistent up to m=46")]:
         code, out = run_cli("search", "--s", "1", "--level", "feeble", *argv)
         assert code == 0 and out.rstrip().endswith(tail), argv
     code, out = run_cli("enumerate", "--s", "1", "--n", "15",
@@ -253,48 +242,34 @@ def test_deep_searches_finish():
 
 
 @pytest.mark.parametrize("s, n, level, budget, construct_code", [
-    ("1,2", 2, "qualitative", 2000, 0),   # found
-    ("1,2", 2, "qualitative", 5, 3),      # aborted
-    ("1,3", 3, "qualitative", 2000, 4),   # certified nonexistent
-    ("1,3", 2, "feeble", 2000, 4),        # range-limited
+    ("1,2", 2, "qualitative", 2000, 0),                   # found
+    ("1,2", 2, "strong", DELEGATED_SEARCH_NODES, 3),      # aborted
+    ("1,3", 3, "qualitative", 2000, 4),                   # certified
+    ("1,3", 2, "feeble", 2000, 4),                        # by the 2n bound
 ])
 def test_one_verdict_wording(s, n, level, budget, construct_code):
-    # search, a delegating construct and a table cell word one outcome
-    # alike; 2000 nodes settle these cells and bound the rest of the row
-    argv = ["--s", s, "--n", str(n), "--level", level,
-            "--budget-nodes", str(budget)]
-    _, out = run_cli("search", *argv)
+    # a delegating construct and a table cell, both at the fixed budget,
+    # word one outcome like a search given ``budget`` nodes: enough to
+    # settle the cell, or the fixed budget where it aborts; test_table pins
+    # the table to the golden one
+    argv = ["--s", s, "--n", str(n), "--level", level]
+    _, out = run_cli("search", *argv, "--budget-nodes", str(budget))
     searched = next(line for line in out.splitlines()
                     if not line.startswith('{"m": '))
     code, out = run_cli("construct", *argv)
     lines = out.splitlines()
     assert code == construct_code
     assert lines[0].startswith("delegated to search:")
-    cell = certify_summary_row(frozenset(int(x) for x in s.split(",")),
-                               [n], node_budget=budget)[(n, Level(level))]
-    assert searched == lines[1] == cell.detail
+    cell = json.loads(GOLDEN_TABLE.read_text())["{" + s + "}"][f"n={n}"][level]
+    assert searched == lines[1] == cell["detail"]
 
 
-def test_table(monkeypatch):
-    # with no budget each delegated cell stops at the default node budget,
-    # so {1,2} strong n=2 ends and the cells match the golden table's
-    monkeypatch.delenv("CHROMATIC_BUDGET_NODES", raising=False)
-    code, out = run_cli("table", "--max-n", "2")
+def test_table():
+    # every verdict, reason and search summary up to n = 6; each delegated
+    # cell stops at the fixed node budget, so {1,2} strong n=2 ends
+    code, out = run_cli("table", "--max-n", "6")
     assert code == 0
-    doc = json.loads(out)
-    assert set(doc) == {"{1,2,3}", "{2,3}", "{1,3}", "{1,2}", "{3}", "{2}",
-                        "{1}", "{}"}
-    assert doc["{3}"]["n=1"]["qualitative"]["status"] == "Constructed"
-    golden = json.loads(
-        (Path(__file__).parent / "golden_table.json").read_text())
-    assert doc == {s: {f"n={n}": row[f"n={n}"] for n in (1, 2)}
-                   for s, row in golden.items()}
-    # every verdict, reason and search summary up to n = 6; the budget
-    # bounds the {1,2} qualitative and strong searches, and raising it to
-    # 20000 gives the same table
-    code, out = run_cli("table", "--max-n", "6", "--budget-nodes", "2000")
-    assert code == 0
-    assert out == (Path(__file__).parent / "golden_table.json").read_text()
+    assert out == GOLDEN_TABLE.read_text()
 
 
 def test_table_deterministic():
@@ -317,10 +292,12 @@ def test_usage_errors(capsys):
     assert run_cli("search", "--s", "2", "--n", "2",
                    "--level", "bogus")[0] == 1
     assert "bad level 'bogus'" in capsys.readouterr().err
-
-
-def test_threads_and_determinism_flags_accepted():
-    code, _ = run_cli("search", "--s", "3", "--n", "3",
-                      "--level", "qualitative", "--threads", "4",
-                      "--strict-determinism")
-    assert code == 0
+    # only search and enumerate take a node budget; the other knobs are gone
+    for argv in (["construct", "--s", "1,2", "--n", "2", "--level", "strong",
+                  "--budget-nodes", "5"],
+                 ["table", "--max-n", "1", "--budget-nodes", "5"],
+                 ["search", "--s", "3", "--n", "3", "--level", "qualitative",
+                  "--threads", "4"],
+                 ["search", "--s", "3", "--n", "3", "--level", "qualitative",
+                  "--strict-determinism"]):
+        assert run_cli(*argv)[0] == 1, argv

@@ -6,11 +6,12 @@ from itertools import product
 import pytest
 
 from chromarep.algebra import Signature
+from chromarep.cli import certify_summary_row
 from chromarep.colouring import (EdgeColouring, Level, VerificationReport,
                                  canonical_form, verify)
 from chromarep.constructions import pentagon
-from chromarep.search import (certify_summary_row, default_m_range,
-                              enumerate_representations, search)
+from chromarep.search import (default_m_range, enumerate_representations,
+                              search)
 
 
 def sig(s, n):
@@ -60,9 +61,23 @@ def test_search_no_certificate_outside_qualitative():
     assert outcome.status in ("found", "exhausted")
     if outcome.status == "exhausted":
         assert not outcome.complete_certificate
-    outcome = search(sig((1,), 2), Level.FEEBLE)
+    # feeble exhaustion below 2n vertices is no certificate
+    outcome = search(sig((1,), 2), Level.FEEBLE, m_range=(2, 3))
     assert outcome.status == "exhausted"
     assert not outcome.complete_certificate
+
+
+def test_search_feeble_certificate_from_2n_bound():
+    # one edge of each colour spans at most 2n vertices, which induce a
+    # feeble representation again; with two colours and no dichromatic
+    # triangle, K_m for m >= 3 has one colour, so none exists
+    for s in [(1,), (1, 3)]:
+        for m_range in [(2, 4), None]:
+            outcome = search(sig(s, 2), Level.FEEBLE, m_range=m_range)
+            assert outcome.status == "exhausted"
+            assert outcome.complete_certificate, (s, m_range)
+        outcome = search(sig(s, 2), Level.FEEBLE, m_range=(3, 9))
+        assert not outcome.complete_certificate
 
 
 def test_search_range_limited_no_certificate():
