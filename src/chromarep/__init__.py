@@ -5,7 +5,6 @@ enumeration at desk scale."""
 from .algebra import (AtomStructure, Signature, check_na_atom_structure,
                       chromatic_atoms, compose, is_associative,
                       peircean_transforms)
-from .cli import certify_summary_row
 from .colouring import (EdgeColouring, Level, VerificationReport,
                         are_isomorphic, canonical_form, chromatic_degree,
                         classify_triangle, saturate, verify)
@@ -29,8 +28,8 @@ __all__ = [
     "affine_plane", "colouring_from_parallelism", "drop_points",
     "linear_space_from_colouring", "near_pencil", "Quasigroup", "lambda1",
     "lambda2", "quasigroup_from_colouring", "standard_qn",
-    "three_cycle_condition", "SearchOutcome", "certify_summary_row",
-    "enumerate_representations", "search",
+    "three_cycle_condition", "SearchOutcome", "enumerate_representations",
+    "search",
 ]
 
 __version__ = "0.1.0"

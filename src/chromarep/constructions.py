@@ -125,14 +125,10 @@ def _lyndon_qualitative(n: int) -> EdgeColouring:
     keeps k <= q - 2.  Deleting from the order-3 plane leaves a pencil of
     2-point lines with no monochromatic triangle, so k >= 1 needs q >= 4.
     """
-    orders = [q for q in range((n + 2) // 2, n)
-              if prime_power(q) and (q == n - 1 or q >= 4)]
-    if not orders:
-        raise RuntimeError(
-            f"no admissible prime power for {n} colours; unreachable for n >= 4")
-    q = orders[0]
-    geometry = drop_points(affine_plane(q), range(n - q - 1))
-    return colouring_from_parallelism(*geometry)
+    # Bertrand's postulate puts a prime in [(n + 2) // 2, n - 1] for n >= 4
+    q = min(q for q in range((n + 2) // 2, n)
+            if prime_power(q) and (q == n - 1 or q >= 4))
+    return colouring_from_parallelism(*drop_points(q, n - q - 1))
 
 
 _ANY = tuple(Level)

@@ -241,46 +241,31 @@ def affine_plane(q: int):
     return LinearSpace(q * q, tuple(lines)), Parallelism(blocks)
 
 
-def drop_points(plane, dropped):
-    """Delete a point set from an affine plane and regroup the parallelism.
+def drop_points(q: int, k: int):
+    """AG(2, q) less the k points (0, 0)..(0, k - 1), all on the vertical
+    x = 0, with its parallelism regrouped; point p becomes p - k.
 
     Lines through exactly one deleted point form a new pencil direction for
-    that point; all other lines keep their old direction.  For a plane of
-    order q and k = |dropped| <= q - 2 the result has q + k + 1 blocks; the
-    new pencils' lines keep q - 1 points, so for k >= 1 LS4 needs q >= 4.
+    that point; all other lines keep their old direction.  For q >= 3 and
+    0 <= k <= q - 2 the result has q + k + 1 blocks; the new pencils' lines
+    keep q - 1 points, so for k >= 1 LS4 needs q >= 4.
     """
-    sp, pw = plane
-    dropped = list(dropped)
-    d_set = list(dict.fromkeys(dropped))
-    if len(d_set) != len(dropped):
-        raise ValueError("dropped points contain duplicates")
-    sizes = {len(line) for line in sp.lines}
-    if len(sizes) != 1:
-        raise ValueError("not an affine plane: line sizes differ")
-    q = sizes.pop()
-    if q * q != sp.point_count or q < 3:
-        raise ValueError("not an affine plane of order >= 3")
-    k = len(d_set)
-    if k > q - 2:
-        raise ValueError(f"can delete at most {q - 2} points")
-    for point in d_set:
-        if not 0 <= point < sp.point_count:
-            raise ValueError(f"point {point} not in the plane")
-
-    keep = [p for p in range(sp.point_count) if p not in d_set]
-    new_index = {p: i for i, p in enumerate(keep)}
-    d_frozen = frozenset(d_set)
-
+    if q < 3:
+        raise ValueError(f"plane order {q} is below 3")
+    if not 0 <= k <= q - 2:
+        raise ValueError(f"can delete 0..{q - 2} points, not {k}")
+    sp, pw = affine_plane(q)
+    dropped = frozenset(range(k))
     # every line keeps its index, less the deleted points
-    lines = tuple(frozenset(new_index[p] for p in line - d_frozen)
+    lines = tuple(frozenset(p - k for p in line - dropped)
                   for line in sp.lines)
     old_blocks = tuple(tuple(i for i in block
-                             if len(sp.lines[i] & d_frozen) != 1)
+                             if len(sp.lines[i] & dropped) != 1)
                        for block in pw.blocks)
     new_blocks = tuple(tuple(i for i, line in enumerate(sp.lines)
-                             if len(line & d_frozen) == 1 and point in line)
-                       for point in d_set)
-    return (LinearSpace(len(keep), lines),
+                             if len(line & dropped) == 1 and point in line)
+                       for point in range(k))
+    return (LinearSpace(q * q - k, lines),
             Parallelism(old_blocks + new_blocks))
 
 

@@ -18,10 +18,11 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
+from math import comb
 
 from .algebra import FORBIDDEN, Signature, required_multisets, triangle_table
 from .colouring import (EdgeColouring, Level, canonical_form, colour_rows,
-                        edge_list, unwitnessed, verify)
+                        edge_index, edge_list, unwitnessed, verify)
 
 
 class BudgetExceeded(Exception):
@@ -94,12 +95,14 @@ def _search_m(sig: Signature, level: Level, m: int, budget: _Budget):
     strong = level is Level.STRONG
 
     # triangles completed by each edge: (i, j) closes {k, i, j} for k < i
-    closures = [[(i * (i - 1) // 2 + k, j * (j - 1) // 2 + k)
-                 for k in range(i)] for i, j in edges]
-    # triangles still open before assigning position idx
-    remaining_triangles = [0] * (total + 1)
-    for idx in range(total - 1, -1, -1):
-        remaining_triangles[idx] = remaining_triangles[idx + 1] + len(closures[idx])
+    closures = [[(edge_index(k, i), edge_index(k, j)) for k in range(i)]
+                for i, j in edges]
+    # triangles still open before assigning (i, j): all of them, less those
+    # inside the first j vertices, less the {k, i', j} with k < i' < i.
+    # No entry for position total: extend(total) runs only when m <= 1, and
+    # the surjectivity clause returns there before the lookup.
+    remaining_triangles = [comb(m, 3) - comb(j, 3) - comb(i, 2)
+                           for i, j in edges]
 
     colours = [0] * total
     realized_count = [0] * len(required_multisets(sig))

@@ -108,7 +108,7 @@ def test_criterion_06_lyndon_geometries():
         assert verify(col, sig((1, 3), p + 1), Level.STRONG).passed, p
     for q in (3, 5, 7):
         for k in range(q - 1):
-            _, pw = drop_points(affine_plane(q), range(k))
+            _, pw = drop_points(q, k)
             assert len(pw.blocks) == q + k + 1
     for n in range(4, 11):
         col = construct(sig((1, 3), n), Level.QUALITATIVE)
@@ -127,8 +127,7 @@ def test_criterion_06_lyndon_geometries():
 def test_criterion_07_round_trips():
     instances = [affine_plane(3), affine_plane(5), affine_plane(7),
                  near_pencil(4), near_pencil(7),
-                 drop_points(affine_plane(5), [0]),
-                 drop_points(affine_plane(7), [0, 1, 2])]
+                 drop_points(5, 1), drop_points(7, 3)]
     for plane in instances:
         col = colouring_from_parallelism(*plane)
         assert same_space(linear_space_from_colouring(col), plane)

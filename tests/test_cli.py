@@ -2,6 +2,9 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -301,3 +304,16 @@ def test_usage_errors(capsys):
                  ["search", "--s", "3", "--n", "3", "--level", "qualitative",
                   "--strict-determinism"]):
         assert run_cli(*argv)[0] == 1, argv
+
+
+def test_module_entry_point_runs_without_warning():
+    # runpy warns when the package root has already imported chromarep.cli
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "chromarep.cli",
+         "witness", "--walecki-n", "3", "--triple", "1,2,3"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == ""

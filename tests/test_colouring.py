@@ -89,6 +89,17 @@ def test_verify_pentagon_strong():
     assert report.summary() == "strong: pass"
 
 
+def test_verify_z12_circulant_strong():
+    # no builder reaches these strong cells: the circulant on Z_12 colouring
+    # {i, j} by f(distance), f(1..6) = (1, 1, 2, 2, 1, 2)
+    f = (1, 1, 2, 2, 1, 2)
+    col = EdgeColouring.from_function(
+        12, 2, lambda i, j: f[min(j - i, 12 - j + i) - 1])
+    for s in ((1, 2), (1, 2, 3)):
+        report = verify(col, sig(s, 2), Level.STRONG)
+        assert report.passed, (s, report.summary())
+
+
 def test_verify_chain_misses_multiset():
     # the 3-vertex chain has only the (1,2,2) triangle
     report = verify(chain_colouring(2), sig((2,), 2), Level.QUALITATIVE)

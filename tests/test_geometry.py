@@ -174,20 +174,20 @@ def test_affine_plane_order4():
 
 
 def test_drop_points_counts():
-    sp, pw = drop_points(affine_plane(3), [0])
+    sp, pw = drop_points(3, 1)
     assert sp.point_count == 8 and len(pw.blocks) == 5
-    sp, pw = drop_points(affine_plane(5), [0, 1, 2])
+    sp, pw = drop_points(5, 3)
     assert sp.point_count == 22 and len(pw.blocks) == 9
     assert validate_space(sp).valid
     assert validate_parallelism(sp, pw).valid
     for q in (3, 5, 7):
         for k in range(q - 1):
-            _, pw = drop_points(affine_plane(q), range(k))
+            _, pw = drop_points(q, k)
             assert len(pw.blocks) == q + k + 1
 
 
 def test_drop_points_ls_axioms_order5():
-    sp, pw = drop_points(affine_plane(5), [0])
+    sp, pw = drop_points(5, 1)
     assert check_ls4(sp, pw).valid
     assert check_ls5(sp, pw).valid
 
@@ -195,7 +195,7 @@ def test_drop_points_ls_axioms_order5():
 def test_drop_points_ls_axioms_order4():
     # the order-4 plane is the least that keeps LS4 after a deletion
     for k in (1, 2):
-        sp, pw = drop_points(affine_plane(4), range(k))
+        sp, pw = drop_points(4, k)
         assert len(pw.blocks) == 5 + k
         assert check_ls4(sp, pw).valid
         assert check_ls5(sp, pw).valid
@@ -204,7 +204,7 @@ def test_drop_points_ls_axioms_order4():
 def test_drop_points_ls4_gap_at_order3():
     # deleting from the order-3 plane leaves only 2-point lines in the new
     # pencil, so the monochromatic axiom fails there
-    sp, pw = drop_points(affine_plane(3), [0])
+    sp, pw = drop_points(3, 1)
     report = check_ls4(sp, pw)
     assert not report.valid
     assert report.blocks_without_long_line == [4]
@@ -212,15 +212,13 @@ def test_drop_points_ls4_gap_at_order3():
 
 def test_drop_points_rejections():
     with pytest.raises(ValueError):
-        drop_points(affine_plane(3), [0, 1])        # k > q-2
+        drop_points(3, 2)                           # k > q-2
     with pytest.raises(ValueError):
-        drop_points(affine_plane(5), [0, 0])        # duplicates
-    with pytest.raises(ValueError):
-        drop_points(affine_plane(5), [99])          # unknown point
-    with pytest.raises(ValueError):
-        drop_points(near_pencil(5), [0])            # not an affine plane
-    with pytest.raises(ValueError, match="not an affine plane of order >= 3"):
-        drop_points(affine_plane(2), [])
+        drop_points(5, -1)                          # k < 0
+    with pytest.raises(ValueError, match="not a prime power"):
+        drop_points(6, 0)
+    with pytest.raises(ValueError, match="below 3"):
+        drop_points(2, 0)
 
 
 def test_colouring_from_parallelism_near_pencil():
@@ -239,7 +237,7 @@ def test_colouring_from_parallelism_affine_plane_strong():
 
 
 def test_drop_points_colouring_qualitative_order5():
-    col = colouring_from_parallelism(*drop_points(affine_plane(5), [0]))
+    col = colouring_from_parallelism(*drop_points(5, 1))
     assert verify(col, sig((1, 3), 7), Level.QUALITATIVE).passed
 
 
