@@ -338,29 +338,117 @@ def canonical_form(col: EdgeColouring) -> EdgeColouring:
     """Lexicographically minimal relabelling over vertex and colour permutations.
 
     A vertex ordering's code lists each vertex's colours to the earlier
-    vertices, renamed by first occurrence, so the least code is built one
-    row at a time: each row is the least extension of the orderings tied so
-    far.  Memory grows with the number of tied orderings (one per
-    automorphism at the end, m! for a single-colour clique).  Idempotent.
+    vertices, renamed by first occurrence.  The least code is found by a
+    depth-first search over orderings: each node keeps only the next
+    vertices whose row is least, and a node whose row exceeds the best
+    code's is dropped.  A leaf whose code equals the best code gives an
+    automorphism (the colour renaming comes with it); siblings in the orbit
+    of a searched sibling are skipped, and the subtree where the leaf first
+    differs from the best leaf is an image of a searched one and is left.
+    So a single-colour clique costs about m^2/2 nodes, not m!.  Idempotent.
     """
     m, rows = col.m, colour_rows(col.m, col.colours)
-    tied, code = [((), {})], []
-    for _ in range(m):
-        least, extended = None, []
-        for order, rename in tied:
-            for v in range(m):
-                if v in order:
-                    continue
-                new_rename = dict(rename)
-                row = [new_rename.setdefault(rows[v][u], len(new_rename) + 1)
-                       for u in order]
-                if least is None or row < least:
-                    least, extended = row, []
-                if row == least:
-                    extended.append((order + (v,), new_rename))
-        code += least
-        tied = extended
-    return EdgeColouring(m, col.n, tuple(code))
+
+    # Vertices are tried by their colour-class sizes, largest class first:
+    # an order that renaming vertices or colours does not change.
+    def class_sizes(v):
+        row = rows[v]
+        return sorted((row.count(c) for c in set(row) if c), reverse=True)
+
+    ranked = sorted(range(m), key=class_sizes, reverse=True)
+    rename, placed = [0] * (col.n + 1), [False] * m
+    order, code, autos = [], [], []
+    best_order = best_code = None
+
+    def tied(tight, named):
+        """The least row to ``order`` over the unplaced vertices, and the
+        vertices that have it; when ``tight``, no row above the best's."""
+        least = best_code[len(order)] if tight else None
+        ties = []
+        for v in ranked:
+            if placed[v]:
+                continue
+            row_v, fresh, row, less = rows[v], {}, [], least is None
+            for i, u in enumerate(order):
+                c = row_v[u]
+                x = rename[c] or fresh.setdefault(c, named + len(fresh) + 1)
+                if not less:
+                    if x > least[i]:
+                        break
+                    less = x < least[i]
+                row.append(x)
+            else:
+                if less:
+                    least, ties = row, [v]
+                else:
+                    ties.append(v)
+        return least, ties
+
+    def dfs(tight, named):
+        """Search below ``order``, whose code so far names ``named``
+        colours and, when ``tight``, equals the best code's prefix; return
+        the depth to unwind to."""
+        nonlocal best_order, best_code
+        k = len(order)
+        if k == m:
+            if not tight:
+                best_order, best_code = order[:], code[:]
+                return m
+            g = [0] * m
+            for b, v in zip(best_order, order):
+                g[b] = v
+            autos.append(g)
+            return next(i for i, (b, v) in enumerate(zip(best_order, order))
+                        if b != v)
+        least, ties = tied(tight, named)
+        tight = tight and least is best_code[k]
+        searched, orbit, fixing, known = [], set(), [], 0
+        for v in ties:
+            if len(autos) > known:
+                fixing += [g for g in autos[known:]
+                           if all(g[u] == u for u in order)]
+                known = len(autos)
+                orbit = _orbit(searched, fixing)
+            if v in orbit:
+                continue
+            fresh = []
+            for u in order:
+                c = rows[v][u]
+                if not rename[c]:
+                    fresh.append(c)
+                    rename[c] = named + len(fresh)
+            order.append(v)
+            placed[v] = True
+            code.append(least)
+            back = dfs(tight, named + len(fresh))
+            order.pop()
+            placed[v] = False
+            code.pop()
+            for c in fresh:
+                rename[c] = 0
+            if back < k:
+                return back
+            # the best leaf now lies below this node
+            tight = True
+            searched.append(v)
+            orbit |= _orbit([v], fixing)
+        return m
+
+    dfs(False, 0)
+    return EdgeColouring(m, col.n, tuple(x for row in best_code for x in row))
+
+
+def _orbit(start, gens) -> set:
+    """The union of the orbits of ``start`` under the group ``gens``
+    generate, each generator a list mapping vertex v to g[v]."""
+    seen, stack = set(start), list(start)
+    while stack:
+        x = stack.pop()
+        for g in gens:
+            if g[x] not in seen:
+                seen.add(g[x])
+                stack.append(g[x])
+    return seen
 
 
 def are_isomorphic(a: EdgeColouring, b: EdgeColouring) -> bool:

@@ -15,7 +15,7 @@ from chromarep.colouring import (DOT_PALETTE, EdgeColouring, Level,
                                  colour_rows, edge_index, edge_list, saturate,
                                  unwitnessed, verify)
 from chromarep.constructions import (chain_colouring, construct, pentagon,
-                                     walecki)
+                                     single_colour, walecki)
 from chromarep.quasigroup import lambda1, lambda2, standard_qn
 
 
@@ -343,6 +343,28 @@ def test_canonical_form_idempotent_and_isomorphic():
     assert are_isomorphic(col, canon)
 
 
+def relabel(col, rng):
+    """The colouring under a seeded vertex and colour permutation."""
+    vertices, colours = list(range(col.m)), list(range(1, col.n + 1))
+    rng.shuffle(vertices)
+    rng.shuffle(colours)
+    return EdgeColouring.from_function(
+        col.m, col.n,
+        lambda i, j: colours[col.colour(vertices[i], vertices[j]) - 1])
+
+
+def blown_up_circulant(rng):
+    """A seeded circulant colouring of Z_r with each vertex blown up into b
+    twins: its automorphisms include the rotations, the reflection and
+    every permutation of a twin class."""
+    r, b, n = rng.randint(3, 6), rng.randint(1, 3), rng.randint(2, 4)
+    # dist[d] colours the pairs at distance d in Z_r; dist[0] the twins
+    dist = [rng.randint(1, n) for _ in range(r // 2 + 1)]
+    return EdgeColouring.from_function(
+        r * b, n, lambda i, j: dist[min((i // b - j // b) % r,
+                                        (j // b - i // b) % r)])
+
+
 def test_canonical_form_vertex_relabelling_invariant():
     col = lambda2(standard_qn(5))
     for perm in [(5, 0, 3, 1, 4, 2), (1, 2, 3, 4, 5, 0)]:
@@ -357,6 +379,53 @@ def test_canonical_form_vertex_relabelling_invariant():
         relab = EdgeColouring.from_function(
             col.m, col.n, lambda i, j: colour(col.colour(vertex(i), vertex(j))))
         assert canonical_form(relab) == canonical_form(col)
+    # large automorphism groups: the affine planes AG(2, q), the
+    # single-colour clique and blown-up circulants; and the chain, whose
+    # natural labelling is slow to canonicalise without an invariant
+    # vertex order
+    rng = random.Random(19)
+    cols = [*(construct(sig((1, 3), q + 1), Level.STRONG) for q in (4, 5, 7)),
+            single_colour(9), chain_colouring(9)]
+    cols += [blown_up_circulant(rng) for _ in range(60)]
+    for col in cols:
+        canon = canonical_form(col)
+        for _ in range(2):
+            assert canonical_form(relabel(col, rng)) == canon
+
+
+def reference_canonical(col):
+    """The least code built row by row from every tied vertex ordering; a
+    plain reference for canonical_form, whose memory grows with the ties."""
+    m, rows = col.m, colour_rows(col.m, col.colours)
+    tied, code = [((), {})], []
+    for _ in range(m):
+        least, extended = None, []
+        for order, rename in tied:
+            for v in range(m):
+                if v in order:
+                    continue
+                new_rename = dict(rename)
+                row = [new_rename.setdefault(rows[v][u], len(new_rename) + 1)
+                       for u in order]
+                if least is None or row < least:
+                    least, extended = row, []
+                if row == least:
+                    extended.append((order + (v,), new_rename))
+        code += least
+        tied = extended
+    return tuple(code)
+
+
+def test_canonical_form_matches_reference():
+    # a one-colour K_m has a single colouring, so each m is tried once
+    rng = random.Random(23)
+    cols = [single_colour(m) for m in range(1, 9)] + [chain_colouring(9)]
+    for _ in range(500):
+        m, n = rng.randint(1, 8), rng.randint(2, 4)
+        cols.append(EdgeColouring(m, n, tuple(
+            rng.randint(1, n) for _ in range(m * (m - 1) // 2))))
+    for col in cols:
+        assert canonical_form(col).colours == reference_canonical(col), col
 
 
 def brute_force_canonical(col):
