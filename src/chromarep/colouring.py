@@ -384,6 +384,18 @@ def canonical_form(col: EdgeColouring) -> EdgeColouring:
                     ties.append(v)
         return least, ties
 
+    def orbit_of(start, gens):
+        """The union of the orbits of ``start`` under the group ``gens``
+        generate, each generator a list mapping vertex v to g[v]."""
+        seen, stack = set(start), list(start)
+        while stack:
+            x = stack.pop()
+            for g in gens:
+                if g[x] not in seen:
+                    seen.add(g[x])
+                    stack.append(g[x])
+        return seen
+
     def dfs(tight, named):
         """Search below ``order``, whose code so far names ``named``
         colours and, when ``tight``, equals the best code's prefix; return
@@ -408,7 +420,7 @@ def canonical_form(col: EdgeColouring) -> EdgeColouring:
                 fixing += [g for g in autos[known:]
                            if all(g[u] == u for u in order)]
                 known = len(autos)
-                orbit = _orbit(searched, fixing)
+                orbit = orbit_of(searched, fixing)
             if v in orbit:
                 continue
             fresh = []
@@ -431,24 +443,11 @@ def canonical_form(col: EdgeColouring) -> EdgeColouring:
             # the best leaf now lies below this node
             tight = True
             searched.append(v)
-            orbit |= _orbit([v], fixing)
+            orbit |= orbit_of([v], fixing)
         return m
 
     dfs(False, 0)
     return EdgeColouring(m, col.n, tuple(x for row in best_code for x in row))
-
-
-def _orbit(start, gens) -> set:
-    """The union of the orbits of ``start`` under the group ``gens``
-    generate, each generator a list mapping vertex v to g[v]."""
-    seen, stack = set(start), list(start)
-    while stack:
-        x = stack.pop()
-        for g in gens:
-            if g[x] not in seen:
-                seen.add(g[x])
-                stack.append(g[x])
-    return seen
 
 
 def are_isomorphic(a: EdgeColouring, b: EdgeColouring) -> bool:

@@ -1,21 +1,23 @@
 #!/usr/bin/env python3
 """Time ``canonical_form`` on the large symmetric colourings.
 
-    python3 tools/canonical_timings.py [--src DIR] [--timeout S]
-                                       [--memory-mb M]
+    python3 tools/canonical_timings.py [--src DIR]
 
 Each case runs in a fresh process on the chromarep sources under DIR
-(default: this checkout's ``src``), limited to S seconds and M MB of
-address space, and the script prints one JSON object: per case the
-seconds of each ``canonical_form`` call, the process's peak RSS, or why it
-did not finish.  The cases:
+(default: this checkout's ``src``), limited to TIMEOUT_S seconds and
+MEMORY_MB MB of address space, and the script prints one JSON object: per
+case the seconds of each ``canonical_form`` call, the process's peak RSS,
+or why it did not finish.  The cases:
 
 - ``AG(2,q)`` for q = 5, 7: ``construct(Signature({1,3}, q+1), STRONG)``,
-  as built and under seeded vertex and colour relabellings;
+  as built and under seeded vertex and colour relabellings (the
+  ``relabel`` helper of tests/test_colouring.py);
 - ``single_colour(9)``, the one-colour K_9;
-- ``cyclotomic(41)``: Z_41 with {x, y} coloured by (log_6(y - x) mod 4) + 1,
-  a strong {2,3}, n=4 colouring (6 generates Z_41^*, and -1 = 6^20 has
-  an exponent divisible by 4, so the colour is symmetric).
+- ``cyclotomic(p)``: Z_p with {x, y} coloured by (log_g(y - x) mod n) + 1,
+  g the least primitive root mod p and p = 1 (mod 2n), so -1 = g^((p-1)/2)
+  has an exponent divisible by n and the colour is symmetric.  The (p, n)
+  are the strong {2,3} colourings at n = 4, 5, 6 (p = 41, 71, 97) and the
+  strong {1,2,3} ones at n = 4, 5, 6 (p = 73, 131, 181).
 """
 
 from __future__ import annotations
@@ -30,7 +32,12 @@ import sys
 import time
 from pathlib import Path
 
-CASES = ("AG(2,5)", "AG(2,7)", "single_colour(9)", "cyclotomic(41)")
+ROOT = Path(__file__).resolve().parents[1]
+TIMEOUT_S = 300
+MEMORY_MB = 2048
+CYCLOTOMIC = {41: 4, 71: 5, 97: 6, 73: 4, 131: 5, 181: 6}
+CASES = ("AG(2,5)", "AG(2,7)", "single_colour(9)",
+         *(f"cyclotomic({p})" for p in CYCLOTOMIC))
 RELABELLINGS = {"AG(2,5)": 8, "AG(2,7)": 16}
 
 
@@ -44,21 +51,14 @@ def build(case):
         return construct(Signature(frozenset({1, 3}), q + 1), Level.STRONG)
     if case == "single_colour(9)":
         return single_colour(9)
-    p, n, g = 41, 4, 6
+    p = int(case[len("cyclotomic("):-1])
+    n = CYCLOTOMIC[p]
+    g = next(g for g in range(2, p)
+             if all(pow(g, (p - 1) // r, p) != 1
+                    for r in range(2, p) if (p - 1) % r == 0))
     log = {pow(g, e, p): e for e in range(p - 1)}
     return EdgeColouring.from_function(
         p, n, lambda x, y: log[(y - x) % p] % n + 1)
-
-
-def relabel(col, rng):
-    from chromarep.colouring import EdgeColouring
-
-    vertices, colours = list(range(col.m)), list(range(1, col.n + 1))
-    rng.shuffle(vertices)
-    rng.shuffle(colours)
-    return EdgeColouring.from_function(
-        col.m, col.n,
-        lambda i, j: colours[col.colour(vertices[i], vertices[j]) - 1])
 
 
 def run_case(case):
@@ -66,9 +66,13 @@ def run_case(case):
     from chromarep.colouring import canonical_form
 
     col = build(case)
-    rng = random.Random(7)
-    inputs = [col] + [relabel(col, rng)
-                      for _ in range(RELABELLINGS.get(case, 0))]
+    inputs = [col]
+    if case in RELABELLINGS:
+        # imported only here: it loads pytest, about 8 MB of peak RSS
+        from test_colouring import relabel
+
+        rng = random.Random(7)
+        inputs += [relabel(col, rng) for _ in range(RELABELLINGS[case])]
     seconds, forms = [], set()
     for x in inputs:
         start = time.perf_counter()
@@ -83,17 +87,14 @@ def run_case(case):
 
 def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    p.add_argument("--src", default=str(Path(__file__).resolve().parents[1]
-                                        / "src"))
-    p.add_argument("--timeout", type=float, default=120)
-    p.add_argument("--memory-mb", type=int, default=2048)
+    p.add_argument("--src", default=str(ROOT / "src"))
     p.add_argument("--case", choices=CASES, help=argparse.SUPPRESS)
     args = p.parse_args(argv)
     if args.case:
-        sys.path.insert(0, args.src)
+        sys.path[:0] = [args.src, str(ROOT / "tests")]
         run_case(args.case)
         return
-    limit = args.memory_mb * 2 ** 20
+    limit = MEMORY_MB * 2 ** 20
 
     def cap():
         resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
@@ -104,15 +105,15 @@ def main(argv=None):
         try:
             done = subprocess.run(
                 [sys.executable, __file__, "--src", args.src, "--case", case],
-                capture_output=True, text=True, timeout=args.timeout,
+                capture_output=True, text=True, timeout=TIMEOUT_S,
                 preexec_fn=cap)
         except subprocess.TimeoutExpired:
-            out[case] = f"not finished in {args.timeout:g} s"
+            out[case] = f"not finished in {TIMEOUT_S} s"
             continue
         if done.returncode:
             last = (done.stderr.strip().splitlines() or ["no output"])[-1]
             out[case] = (f"failed after {time.perf_counter() - start:.0f} s "
-                         f"within {args.memory_mb} MB: {last}")
+                         f"within {MEMORY_MB} MB: {last}")
             continue
         record = json.loads(done.stdout)
         record["median_s"] = statistics.median(record["seconds"])
