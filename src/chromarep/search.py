@@ -85,86 +85,86 @@ class _Budget:
 def _search_m(sig: Signature, level: Level, m: int, budget: _Budget):
     """Depth-first search over colourings of K_m.
 
-    Yields every solution, in depth-first order.
+    Yields every solution, in depth-first order.  One loop walks the edge
+    positions.  Position idx keeps its colour ``colours[idx]`` (0 = none
+    tried yet), the colour count ``entry_used[idx]`` on entering it, and
+    ``first_bits[idx]``, the multisets its triangles realised first; so
+    undoing a colour is one assignment and one xor.
     """
     n = sig.n
-    table = triangle_table(sig)
+    # bit[c][a][b]: 0 when a triangle with side colours c, a, b is
+    # forbidden, else 1 << the index of its multiset
+    bit = [[[0 if k is FORBIDDEN else 1 << k for k in row] for row in plane]
+           for plane in triangle_table(sig)]
     edges = edge_list(m)
     total = len(edges)
-    need_multisets = level is not Level.FEEBLE
     strong = level is Level.STRONG
 
     # triangles completed by each edge: (i, j) closes {k, i, j} for k < i
     closures = [[(edge_index(k, i), edge_index(k, j)) for k in range(i)]
                 for i, j in edges]
     # triangles still open before assigning (i, j): all of them, less those
-    # inside the first j vertices, less the {k, i', j} with k < i' < i.
-    # No entry for position total: extend(total) runs only when m <= 1, and
-    # the surjectivity clause returns there before the lookup.
+    # inside the first j vertices, less the {k, i', j} with k < i' < i
     remaining_triangles = [comb(m, 3) - comb(j, 3) - comb(i, 2)
                            for i, j in edges]
 
-    colours = [0] * total
-    realized_count = [0] * len(required_multisets(sig))
-    missing = len(realized_count)
+    colours, entry_used, first_bits = [0] * total, [0] * total, [0] * total
+    # bit k of realised is set once a triangle realises multiset k; the
+    # feeble level needs none, so there every bit counts as set from the start
+    missing, realised = ((0, -1) if level is Level.FEEBLE
+                         else (len(required_multisets(sig)), 0))
     used = 0
-
-    # yields once per admissible colour of position idx, left in place
-    # (closures read only earlier positions); the one bound: surjectivity
-    # or the missing multisets unreachable
-    def extend(idx):
-        nonlocal missing, used
-        if used + (total - idx) < n or (
-                need_multisets and missing > remaining_triangles[idx]):
-            return
-        for c in range(1, min(n, used + 1) + 1):
-            newly = []
-            for e1, e2 in closures[idx]:
-                k = table[c][colours[e1]][colours[e2]]
-                if k is FORBIDDEN:
+    idx = 0 if total else -1  # K_0 and K_1 have no colouring onto n colours
+    while idx >= 0:
+        c = colours[idx]
+        if c:  # undo the colour tried last
+            used = entry_used[idx]
+            if new := first_bits[idx]:
+                realised ^= new
+                missing += new.bit_count()
+        elif used + (total - idx) < n or missing > remaining_triangles[idx]:
+            # the one bound: surjectivity or the missing multisets
+            idx -= 1
+            continue
+        top = used + 1 if used < n else n
+        pairs = closures[idx]
+        while c < top:
+            c += 1
+            bit_c = bit[c]
+            got = 0
+            for e1, e2 in pairs:
+                b = bit_c[colours[e1]][colours[e2]]
+                if not b:
                     break
-                newly.append(k)
+                got |= b
             else:
-                budget.tick()
-                colours[idx] = c
-                new_colour = c > used
-                if new_colour:
-                    used += 1
-                for k in newly:
-                    if realized_count[k] == 0:
-                        missing -= 1
-                    realized_count[k] += 1
-                yield
-                for k in newly:
-                    realized_count[k] -= 1
-                    if realized_count[k] == 0:
-                        missing += 1
-                if new_colour:
-                    used -= 1
-
-    # gen colours the current position; those before it wait on a stack,
-    # since nesting C(m, 2) generators would pass the recursion limit
-    stack, gen = [], extend(0)
-    while gen is not None:
-        for _ in gen:
-            if len(stack) + 1 < total:
-                stack.append(gen)
-                gen = extend(len(stack))
                 break
-            if used != n or (need_multisets and missing):  # bound at total
-                continue
-            # everything but the strong witnesses is settled by now; a leaf
-            # that lacks one never reaches verify
-            if strong and next(unwitnessed(colour_rows(m, colours), sig),
-                               None) is not None:
-                continue
-            cand = EdgeColouring(m, n, tuple(colours))
-            # independent soundness check
-            if not verify(cand, sig, level).passed:
-                raise AssertionError("search produced an invalid colouring")
-            yield cand
-        else:
-            gen = stack.pop() if stack else None
+        else:  # no colour left: leave the position
+            colours[idx] = 0
+            idx -= 1
+            continue
+        budget.tick()
+        colours[idx] = c
+        if c > used:
+            used = c
+        if new := got & ~realised:
+            realised |= new
+            missing -= new.bit_count()
+        first_bits[idx] = new
+        if idx + 1 < total:
+            idx += 1
+            entry_used[idx] = used
+            continue
+        # the bound at total, then the strong witnesses: a leaf that lacks
+        # one never reaches verify
+        if used != n or missing or strong and next(
+                unwitnessed(colour_rows(m, colours), sig), None) is not None:
+            continue
+        cand = EdgeColouring(m, n, tuple(colours))
+        # independent soundness check
+        if not verify(cand, sig, level).passed:
+            raise AssertionError("search produced an invalid colouring")
+        yield cand
 
 
 def search(sig: Signature, level: Level, m_range=None,

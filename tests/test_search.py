@@ -48,6 +48,12 @@ def test_search_dichromatic_nonexistence(dichromatic_certificate):
     assert outcome.status == "exhausted"
     assert outcome.m_max == 12
     assert outcome.complete_certificate
+    # every level of the certificate, past GOLDEN_SEARCHES' m <= 7
+    per_m = _SKIPPED + [(m, "exhausted", nodes) for m, nodes in zip(
+        range(5, 13), (606, 5640, 34422, 163380, 598350, 1391484, 1997670,
+                       1997670))]
+    assert [(rec.m, rec.status, rec.nodes) for rec in outcome.per_m] == per_m
+    assert outcome.nodes == 6189222
 
 
 def test_search_strong_finds_pentagon():
@@ -279,6 +285,16 @@ def test_search_golden_pin(s, n, level, m_range, per_m, colours):
     else:
         assert outcome.status == "found"
         assert outcome.colouring.colours == colours
+
+
+def test_search_budgeted_abort_pin():
+    # the benchmark's strong-search pass: the budget check falls after the
+    # closures and before the colour is stored, so the abort is exact
+    outcome = search(sig((2, 3), 3), Level.STRONG, m_range=(2, 6),
+                     node_budget=10000)
+    assert (outcome.status, outcome.nodes) == ("aborted", 10001)
+    assert [(rec.m, rec.status, rec.nodes) for rec in outcome.per_m] == (
+        _SKIPPED + [(5, "exhausted", 4774), (6, "aborted", 5227)])
 
 
 def test_enumerate_golden_pin():
