@@ -16,6 +16,7 @@ from chromarep.colouring import (DOT_PALETTE, EdgeColouring, Level,
                                  unwitnessed, verify)
 from chromarep.constructions import (chain_colouring, construct, pentagon,
                                      single_colour, walecki)
+from chromarep.geometry import _field_tables
 from chromarep.quasigroup import lambda1, lambda2, standard_qn
 
 
@@ -98,6 +99,57 @@ def test_verify_z12_circulant_strong():
     for s in ((1, 2), (1, 2, 3)):
         report = verify(col, sig(s, 2), Level.STRONG)
         assert report.passed, (s, report.summary())
+
+
+def cyclic_log_colouring(q, mul, op):
+    """K_q coloured by {x, y} -> (log_g(op(x, y)) mod 3) + 1, where g is the
+    least element of multiplicative order q - 1 under ``mul``."""
+    def powers(g):
+        out, x = [], 1
+        while x not in out:
+            out.append(x)
+            x = mul(x, g)
+        return out
+
+    g = next(g for g in range(2, q) if len(powers(g)) == q - 1)
+    log = {x: e for e, x in enumerate(powers(g))}
+    return EdgeColouring.from_function(
+        q, 3, lambda x, y: log[op(x, y)] % 3 + 1)
+
+
+@pytest.mark.parametrize("p, s", [(13, (2, 3)), (19, (1, 2, 3))])
+def test_verify_cyclotomic_strong(p, s):
+    # Z_p with {x, y} coloured by the cubic class of y - x; p = 1 (mod 6),
+    # so -1 is a cube and the colour does not depend on the edge's direction
+    col = cyclic_log_colouring(p, lambda x, y: x * y % p,
+                               lambda x, y: (y - x) % p)
+    report = verify(col, sig(s, 3), Level.STRONG)
+    assert report.passed, report.summary()
+
+
+def test_verify_gf16_cubic_residue_strong():
+    # GF(16) with {x, y} coloured by the cubic class of x + y
+    add, mul = _field_tables(16)
+    col = cyclic_log_colouring(16, lambda x, y: mul[x][y],
+                               lambda x, y: add[x][y])
+    report = verify(col, sig((2, 3), 3), Level.STRONG)
+    assert report.passed, report.summary()
+
+
+def test_gallai_k5_not_strong_12():
+    # the 3-colourings of K_5 that use every colour and have no rainbow
+    # triangle (Gallai colourings); none is a strong ({1,2}, 3) colouring
+    gallai = []
+    for colours in product((1, 2, 3), repeat=10):
+        rows = colour_rows(5, colours)
+        if len(set(colours)) == 3 and all(
+                len({rows[a][b], rows[a][c], rows[b][c]}) < 3
+                for a, b, c in combinations(range(5), 3)):
+            gallai.append(colours)
+    assert len(gallai) == 3060
+    for colours in gallai:
+        col = EdgeColouring(5, 3, colours)
+        assert not verify(col, sig((1, 2), 3), Level.STRONG).passed, colours
 
 
 def test_verify_chain_misses_multiset():

@@ -7,7 +7,9 @@ Each case runs in a fresh process on the chromarep sources under DIR
 (default: this checkout's ``src``), limited to TIMEOUT_S seconds and
 MEMORY_MB MB of address space, and the script prints one JSON object: per
 case the seconds of each ``canonical_form`` call, the process's peak RSS,
-or why it did not finish.  The cases:
+or why it did not finish.  It exits 1 if any case failed, ran out of time
+or memory, or gave different forms for its relabellings, and 0 otherwise.
+The cases:
 
 - ``AG(2,q)`` for q = 5, 7: ``construct(Signature({1,3}, q+1), STRONG)``,
   as built and under seeded vertex and colour relabellings (the
@@ -17,7 +19,9 @@ or why it did not finish.  The cases:
   g the least primitive root mod p and p = 1 (mod 2n), so -1 = g^((p-1)/2)
   has an exponent divisible by n and the colour is symmetric.  The (p, n)
   are the strong {2,3} colourings at n = 4, 5, 6 (p = 41, 71, 97) and the
-  strong {1,2,3} ones at n = 4, 5, 6 (p = 73, 131, 181).
+  strong {1,2,3} ones at n = 4, 5, 6 (p = 73, 131, 181);
+- ``random2(30)``: K_30 with each edge coloured 1 or 2 by a seeded random
+  generator, a rigid input whose search cannot lean on automorphisms.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ TIMEOUT_S = 300
 MEMORY_MB = 2048
 CYCLOTOMIC = {41: 4, 71: 5, 97: 6, 73: 4, 131: 5, 181: 6}
 CASES = ("AG(2,5)", "AG(2,7)", "single_colour(9)",
-         *(f"cyclotomic({p})" for p in CYCLOTOMIC))
+         *(f"cyclotomic({p})" for p in CYCLOTOMIC), "random2(30)")
 RELABELLINGS = {"AG(2,5)": 8, "AG(2,7)": 16}
 
 
@@ -51,6 +55,10 @@ def build(case):
         return construct(Signature(frozenset({1, 3}), q + 1), Level.STRONG)
     if case == "single_colour(9)":
         return single_colour(9)
+    if case == "random2(30)":
+        rng = random.Random(30)
+        return EdgeColouring(30, 2, tuple(rng.randint(1, 2)
+                                          for _ in range(30 * 29 // 2)))
     p = int(case[len("cyclotomic("):-1])
     n = CYCLOTOMIC[p]
     g = next(g for g in range(2, p)
@@ -120,6 +128,8 @@ def main(argv=None):
         record["max_s"] = max(record["seconds"])
         out[case] = record
     print(json.dumps(out, indent=1))
+    if any(isinstance(record, str) for record in out.values()):
+        sys.exit(1)
 
 
 if __name__ == "__main__":
