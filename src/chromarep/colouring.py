@@ -338,16 +338,44 @@ def canonical_form(col: EdgeColouring) -> EdgeColouring:
     """Lexicographically minimal relabelling over vertex and colour permutations.
 
     A vertex ordering's code lists each vertex's colours to the earlier
-    vertices, renamed by first occurrence.  The least code is found by a
-    depth-first search over orderings: each node keeps only the next
-    vertices whose row is least, and a node whose row exceeds the best
+    vertices, renamed by first occurrence; the rows come in the edge
+    enumeration order, so a code is a colour tuple.  The least code is
+    found by a depth-first search over orderings: each node keeps only the
+    next vertices whose row is least, and a node whose row exceeds the best
     code's is dropped.  A leaf whose code equals the best code gives an
     automorphism (the colour renaming comes with it); siblings in the orbit
     of a searched sibling are skipped, and the subtree where the leaf first
     differs from the best leaf is an image of a searched one and is left.
     So a single-colour clique costs about m^2/2 nodes, not m!.  Idempotent.
     """
-    m, rows = col.m, colour_rows(col.m, col.colours)
+    code = _least_code(colour_rows(col.m, col.colours))
+    return EdgeColouring(col.m, col.n, tuple(x for row in code for x in row))
+
+
+def _is_canonical(rows) -> bool:
+    """Whether the colouring with colour matrix ``rows`` is its own
+    canonical form, i.e. ``canonical_form(col).colours == col.colours``.
+
+    The search of ``canonical_form`` runs with the colouring's own rows as
+    the best code, and answers False at the first ordering whose row is
+    below it.  A colouring not named by first occurrence always fails: its
+    own ordering, renamed, has a smaller code.
+    """
+    return _least_code(rows, [row[:k] for k, row in enumerate(rows)]) \
+        is not None
+
+
+def _least_code(rows, bound=None):
+    """The least code of the colour matrix ``rows``, as a list of rows.
+
+    Given ``bound``, the code of some ordering, the search keeps only
+    orderings whose code does not exceed it, and returns None as soon as
+    one falls below it.  Every leaf it reaches then has the bound's code,
+    and the first one plays the part of the best leaf: it was reached
+    first, as a best leaf is, so the automorphisms and backjumps that later
+    leaves give stay sound.
+    """
+    m = len(rows)
 
     # Vertices are tried by their colour-class sizes, largest class first:
     # an order that renaming vertices or colours does not change.  Without
@@ -359,7 +387,7 @@ def canonical_form(col: EdgeColouring) -> EdgeColouring:
     ranked = sorted(range(m), key=class_sizes, reverse=True)
     placed = [False] * m
     order, code, autos = [], [], []
-    best_order = best_code = None
+    best_order, best_code = None, bound
 
     def tied(tight, names):
         """The least row to ``order`` over the unplaced vertices, and the
@@ -406,7 +434,8 @@ def canonical_form(col: EdgeColouring) -> EdgeColouring:
         nonlocal best_order, best_code
         k = len(order)
         if k == m:
-            if not tight:
+            # the first leaf under a bound has the bound's code
+            if not tight or best_order is None:
                 best_order, best_code = order[:], code[:]
                 return m
             g = [0] * m
@@ -416,7 +445,10 @@ def canonical_form(col: EdgeColouring) -> EdgeColouring:
             return next(i for i, (b, v) in enumerate(zip(best_order, order))
                         if b != v)
         least, ties = tied(tight, names)
-        tight = tight and least is best_code[k]
+        if tight and least is not best_code[k]:
+            if bound is not None:
+                return -1  # unwinds the whole search
+            tight = False
         searched, orbit, fixing, known = [], set(), [], 0
         for v, fresh in ties:
             if len(autos) > known:
@@ -441,8 +473,9 @@ def canonical_form(col: EdgeColouring) -> EdgeColouring:
             orbit |= orbit_of([v], fixing)
         return m
 
-    dfs(False, {})
-    return EdgeColouring(m, col.n, tuple(x for row in best_code for x in row))
+    if dfs(bound is not None, {}) < 0:
+        return None
+    return best_code
 
 
 def are_isomorphic(a: EdgeColouring, b: EdgeColouring) -> bool:

@@ -6,11 +6,13 @@ order, taking colours in first-occurrence order (a triangle's consistency
 depends only on how many distinct colours it has, so no iso-class is lost).
 It prunes when a completed triangle has a forbidden type, and on entering a
 position by one bound: too few edges left for surjectivity, or too few
-triangles for the missing multisets.  Two exhaustions are reported as
-nonexistence certificates: the default range [2, 3(n+1)] at the qualitative
-level, which rests on the range being complete, unproved (ROADMAP.md, item
-2); and [2, 2n] at the feeble level, which is proved (see ``search``).  Any
-other exhaustion is only a range-limited answer.
+triangles for the missing multisets.  ``search`` breaks only this colour
+symmetry; ``enumerate_representations`` also breaks vertex symmetry, by
+orderly generation (Read 1978, Faradzev 1978).  Two exhaustions are
+reported as nonexistence certificates: the default range [2, 3(n+1)] at
+the qualitative level, which rests on the range being complete, unproved
+(ROADMAP.md, item 2); and [2, 2n] at the feeble level, which is proved
+(see ``search``).  Any other exhaustion is only a range-limited answer.
 """
 
 from __future__ import annotations
@@ -21,8 +23,9 @@ from dataclasses import dataclass, field
 from math import comb
 
 from .algebra import FORBIDDEN, Signature, required_multisets, triangle_table
-from .colouring import (EdgeColouring, Level, canonical_form, colour_rows,
-                        edge_index, edge_list, unwitnessed, verify)
+from .colouring import (EdgeColouring, Level, _is_canonical, canonical_form,
+                        colour_rows, edge_index, edge_list, unwitnessed,
+                        verify)
 
 
 class BudgetExceeded(Exception):
@@ -82,7 +85,8 @@ class _Budget:
             raise BudgetExceeded
 
 
-def _search_m(sig: Signature, level: Level, m: int, budget: _Budget):
+def _search_m(sig: Signature, level: Level, m: int, budget: _Budget, *,
+              orderly=False):
     """Depth-first search over colourings of K_m.
 
     Yields every solution, in depth-first order.  One loop walks the edge
@@ -90,6 +94,11 @@ def _search_m(sig: Signature, level: Level, m: int, budget: _Budget):
     tried yet), the colour count ``entry_used[idx]`` on entering it, and
     ``first_bits[idx]``, the multisets its triangles realised first; so
     undoing a colour is one assignment and one xor.
+
+    With ``orderly``, a colour that ends column j is dropped unless the
+    colouring of K_{j+1} on vertices 0..j is its own canonical form; then
+    the solutions yielded are exactly the canonical forms of the solutions
+    (see ``enumerate_representations``).
     """
     n = sig.n
     # bit[c][a][b]: 0 when a triangle with side colours c, a, b is
@@ -107,6 +116,9 @@ def _search_m(sig: Signature, level: Level, m: int, budget: _Budget):
     # inside the first j vertices, less the {k, i', j} with k < i' < i
     remaining_triangles = [comb(m, 3) - comb(j, 3) - comb(i, 2)
                            for i, j in edges]
+    # the vertex count of the prefix that each column end completes, from
+    # K_3 (K_2 has one colouring) up to the leaf, which is tested last
+    column_ends = {edge_index(j - 1, j): j + 1 for j in range(2, m - 1)}
 
     colours, entry_used, first_bits = [0] * total, [0] * total, [0] * total
     # bit k of realised is set once a triangle realises multiset k; the
@@ -151,14 +163,20 @@ def _search_m(sig: Signature, level: Level, m: int, budget: _Budget):
             realised |= new
             missing -= new.bit_count()
         first_bits[idx] = new
+        if orderly and idx in column_ends and not _is_canonical(
+                colour_rows(column_ends[idx], colours)):
+            continue
         if idx + 1 < total:
             idx += 1
             entry_used[idx] = used
             continue
-        # the bound at total, then the strong witnesses: a leaf that lacks
-        # one never reaches verify
-        if used != n or missing or strong and next(
-                unwitnessed(colour_rows(m, colours), sig), None) is not None:
+        # the bound at total, the strong witnesses, then the canonical test:
+        # a leaf that fails one never reaches verify
+        if used != n or missing:
+            continue
+        rows = colour_rows(m, colours)
+        if (strong and next(unwitnessed(rows, sig), None) is not None
+                or orderly and not _is_canonical(rows)):
             continue
         cand = EdgeColouring(m, n, tuple(colours))
         # independent soundness check
@@ -215,6 +233,18 @@ def enumerate_representations(sig: Signature, level: Level, m: int,
 
     Returns (colourings, partial): partial is True when the budget ran out,
     in which case the list must not be used as a completeness certificate.
+
+    Vertex symmetry is broken by orderly generation: the search drops a
+    colouring as soon as its prefix on vertices 0..j is not its own
+    canonical form, and no canonical form is dropped.  A code lists rows in
+    the order in which the search colours edges, rows have fixed lengths,
+    and first-occurrence renaming of a prefix depends only on the prefix;
+    so if some ordering of the first j+1 vertices gave their colouring a
+    smaller code, that ordering followed by the other vertices would give
+    the whole colouring a smaller one.  Each iso-class therefore reaches
+    exactly one leaf, its canonical form.  Each leaf is still verified and
+    deduplicated by its canonical code, so a missed prune costs time,
+    never a class.
     """
     hi = default_m_range(sig)[1]
     if not 1 <= m <= hi:
@@ -223,7 +253,7 @@ def enumerate_representations(sig: Signature, level: Level, m: int,
     partial = False
     canon = {}
     try:
-        for col in _search_m(sig, level, m, budget):
+        for col in _search_m(sig, level, m, budget, orderly=True):
             c = canonical_form(col)
             canon[c.colours] = c
     except BudgetExceeded:

@@ -10,7 +10,7 @@ import pytest
 
 from chromarep.algebra import MAX_WITNESSES, Signature, required_multisets
 from chromarep.colouring import (DOT_PALETTE, EdgeColouring, Level,
-                                 are_isomorphic, canonical_form,
+                                 _is_canonical, are_isomorphic, canonical_form,
                                  chromatic_degree, classify_triangle,
                                  colour_rows, edge_index, edge_list, saturate,
                                  unwitnessed, verify)
@@ -504,6 +504,47 @@ def test_canonical_form_exhaustive_small():
             rng.randint(1, n) for _ in range(m * (m - 1) // 2))))
     for col in cols:
         assert canonical_form(col).colours == brute_force_canonical(col), col
+
+
+def named_by_first_occurrence(colours):
+    """Whether each new colour is the next unused one, as search names them."""
+    top = 0
+    for c in colours:
+        if c > top + 1:
+            return False
+        top = max(top, c)
+    return True
+
+
+def test_is_canonical_matches_canonical_form():
+    # every colouring that search can make on K_4 (n = 3) and K_5 (n = 2)
+    checked = canonical = 0
+    for m, n in [(4, 3), (5, 2)]:
+        for colours in product(range(1, n + 1), repeat=m * (m - 1) // 2):
+            if not named_by_first_occurrence(colours):
+                continue
+            col = EdgeColouring(m, n, colours)
+            expected = canonical_form(col).colours == colours
+            assert _is_canonical(colour_rows(m, colours)) == expected, col
+            checked += 1
+            canonical += expected
+    assert (checked, canonical) == (634, 33)
+
+
+def test_is_canonical_on_relabellings():
+    # a relabelling passes exactly when it is the canonical form
+    rng = random.Random(29)
+    z13 = cyclic_log_colouring(13, lambda x, y: x * y % 13,
+                               lambda x, y: (y - x) % 13)
+    for col in [pentagon(), construct(sig((1, 3), 4), Level.STRONG),
+                walecki(4), z13]:
+        canon = canonical_form(col)
+        assert _is_canonical(colour_rows(canon.m, canon.colours))
+        for _ in range(8):
+            relab = relabel(col, rng)
+            assert canonical_form(relab) == canon
+            if relab != canon:
+                assert not _is_canonical(colour_rows(relab.m, relab.colours))
 
 
 def test_lambda1_isomorphism_invariance():

@@ -10,8 +10,8 @@ from chromarep.cli import certify_summary_row
 from chromarep.colouring import (EdgeColouring, Level, VerificationReport,
                                  canonical_form, verify)
 from chromarep.constructions import pentagon
-from chromarep.search import (default_m_range, enumerate_representations,
-                              search)
+from chromarep.search import (_Budget, _search_m, default_m_range,
+                              enumerate_representations, search)
 
 
 def sig(s, n):
@@ -147,6 +147,31 @@ def test_symmetry_breaking_safety(s, n, level, m):
     found, partial = enumerate_representations(sig(s, n), level, m)
     assert not partial
     assert [c.colours for c in found] == sorted(brute)
+
+
+ORDERLY_CASES = BRUTE_FORCE_CASES + [((1, 2), 2, Level.QUALITATIVE, 6)]
+
+
+@pytest.mark.parametrize(
+    "s, n, level, m", ORDERLY_CASES,
+    ids=[f"{''.join(map(str, s))}-n{n}-{level.value}-m{m}"
+         for s, n, level, m in ORDERLY_CASES])
+def test_orderly_search_reaches_each_class_once(s, n, level, m):
+    # with the canonical-prefix prune every leaf is already canonical, and
+    # no two leaves share a class, so enumerate's dedupe drops nothing
+    leaves = list(_search_m(sig(s, n), level, m, _Budget(None), orderly=True))
+    assert all(canonical_form(c) == c for c in leaves)
+    found, partial = enumerate_representations(sig(s, n), level, m)
+    assert not partial
+    assert sorted(c.colours for c in leaves) == [c.colours for c in found]
+
+
+def test_enumerate_m7_class_count():
+    # within tier-1 reach only with the canonical-prefix prune
+    results, partial = enumerate_representations(sig((1, 2), 2),
+                                                 Level.QUALITATIVE, 7)
+    assert not partial
+    assert len(results) == 408
 
 
 def test_leaf_reaching_verify_must_pass(monkeypatch):
