@@ -38,7 +38,8 @@ def _json_object(text: str, what: str, *keys: str) -> dict:
     """Parse a JSON object that holds every key; else ValueError."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
+        # RecursionError: nesting deeper than the decoder's stack
         raise ValueError(f"{what} input is not JSON: {exc}") from None
     if not isinstance(doc, dict) or not all(k in doc for k in keys):
         *head, last = map(repr, keys)

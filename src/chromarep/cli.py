@@ -95,13 +95,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _budget(args):
-    """--budget-nodes; None searches without limit."""
-    if args.budget_nodes is not None and args.budget_nodes < 0:
-        raise ValueError(f"node budget must be >= 0, got {args.budget_nodes}")
-    return args.budget_nodes
-
-
 def _emit_colouring(col, sig, args, stream):
     # the DOT file first: a bad --dot path must not follow a printed colouring
     if getattr(args, "dot", None):
@@ -158,11 +151,9 @@ def cmd_verify(args, out):
 
 def cmd_search(args, out):
     sig = Signature(args.s, args.n)
-    if args.max_m is not None and args.max_m < 2:
-        raise ValueError(f"--max-m must be >= 2, got {args.max_m}")
     m_range = (2, args.max_m) if args.max_m is not None else None
     outcome = search(sig, args.level, m_range=m_range,
-                     node_budget=_budget(args))
+                     node_budget=args.budget_nodes)
     for line in outcome.transcript_lines():
         out.write(line + "\n")
     out.write(outcome.summary() + "\n")
@@ -174,7 +165,7 @@ def cmd_search(args, out):
 def cmd_enumerate(args, out):
     sig = Signature(args.s, args.n)
     results, partial = enumerate_representations(sig, args.level, args.m,
-                                                 node_budget=_budget(args))
+                                                 node_budget=args.budget_nodes)
     doc = {"count": len(results), "partial": partial,
            "colourings": [json.loads(c.to_json(sig)) for c in results]}
     out.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")

@@ -76,6 +76,8 @@ def default_m_range(sig: Signature) -> tuple[int, int]:
 
 class _Budget:
     def __init__(self, node_budget):
+        if node_budget is not None and node_budget < 0:
+            raise ValueError(f"node budget must be >= 0, got {node_budget}")
         self.node_budget = node_budget
         self.nodes = 0
 
@@ -90,9 +92,11 @@ def _search_m(sig: Signature, level: Level, m: int, budget: _Budget, *,
     """Depth-first search over colourings of K_m.
 
     Yields every solution, in depth-first order.  One loop walks the edge
-    positions.  Position idx keeps its colour ``colours[idx]`` (0 = none
-    tried yet), the colour count ``entry_used[idx]`` on entering it, and
-    ``first_bits[idx]``, the multisets its triangles realised first; so
+    positions and the leaf, position ``total``, entered like any other, so
+    the one bound on entering is the only site of the surjectivity and
+    multiset prunes.  Position idx keeps its colour ``colours[idx]`` (0 =
+    none tried yet), the colour count ``entry_used[idx]`` on entering it,
+    and ``first_bits[idx]``, the multisets its triangles realised first; so
     undoing a colour is one assignment and one xor.
 
     With ``orderly``, a colour that ends column j is dropped unless the
@@ -113,20 +117,20 @@ def _search_m(sig: Signature, level: Level, m: int, budget: _Budget, *,
     closures = [[(edge_index(k, i), edge_index(k, j)) for k in range(i)]
                 for i, j in edges]
     # triangles still open before assigning (i, j): all of them, less those
-    # inside the first j vertices, less the {k, i', j} with k < i' < i
+    # inside the first j vertices, less the {k, i', j} with k < i' < i; none
+    # at the leaf
     remaining_triangles = [comb(m, 3) - comb(j, 3) - comb(i, 2)
-                           for i, j in edges]
+                           for i, j in edges] + [0]
     # the vertex count of the prefix that each column end completes, from
     # K_3 (K_2 has one colouring) up to the leaf, which is tested last
     column_ends = {edge_index(j - 1, j): j + 1 for j in range(2, m - 1)}
 
-    colours, entry_used, first_bits = [0] * total, [0] * total, [0] * total
+    colours, entry_used, first_bits = [[0] * (total + 1) for _ in range(3)]
     # bit k of realised is set once a triangle realises multiset k; the
     # feeble level needs none, so there every bit counts as set from the start
     missing, realised = ((0, -1) if level is Level.FEEBLE
                          else (len(required_multisets(sig)), 0))
-    used = 0
-    idx = 0 if total else -1  # K_0 and K_1 have no colouring onto n colours
+    used = idx = 0
     while idx >= 0:
         c = colours[idx]
         if c:  # undo the colour tried last
@@ -137,6 +141,20 @@ def _search_m(sig: Signature, level: Level, m: int, budget: _Budget, *,
         elif used + (total - idx) < n or missing > remaining_triangles[idx]:
             # the one bound: surjectivity or the missing multisets
             idx -= 1
+            continue
+        elif idx == total:
+            # the leaf: the strong witnesses, then the canonical test; a leaf
+            # that fails one never reaches verify
+            idx -= 1
+            rows = colour_rows(m, colours)
+            if (strong and next(unwitnessed(rows, sig), None) is not None
+                    or orderly and not _is_canonical(rows)):
+                continue
+            cand = EdgeColouring(m, n, tuple(colours[:total]))
+            # independent soundness check
+            if not verify(cand, sig, level).passed:
+                raise AssertionError("search produced an invalid colouring")
+            yield cand
             continue
         top = used + 1 if used < n else n
         pairs = closures[idx]
@@ -166,23 +184,8 @@ def _search_m(sig: Signature, level: Level, m: int, budget: _Budget, *,
         if orderly and idx in column_ends and not _is_canonical(
                 colour_rows(column_ends[idx], colours)):
             continue
-        if idx + 1 < total:
-            idx += 1
-            entry_used[idx] = used
-            continue
-        # the bound at total, the strong witnesses, then the canonical test:
-        # a leaf that fails one never reaches verify
-        if used != n or missing:
-            continue
-        rows = colour_rows(m, colours)
-        if (strong and next(unwitnessed(rows, sig), None) is not None
-                or orderly and not _is_canonical(rows)):
-            continue
-        cand = EdgeColouring(m, n, tuple(colours))
-        # independent soundness check
-        if not verify(cand, sig, level).passed:
-            raise AssertionError("search produced an invalid colouring")
-        yield cand
+        idx += 1
+        entry_used[idx] = used
 
 
 def search(sig: Signature, level: Level, m_range=None,
@@ -200,10 +203,13 @@ def search(sig: Signature, level: Level, m_range=None,
       2n endpoints still uses every colour and has no forbidden triangle,
       so it is a feeble representation on 2..2n vertices.
 
-    Strong exhaustion certifies nothing.
+    Strong exhaustion certifies nothing.  An empty range or a negative
+    budget raises ValueError.
     """
     default_lo, default_hi = default_m_range(sig)
     lo, hi = m_range if m_range is not None else (default_lo, default_hi)
+    if lo > hi:
+        raise ValueError(f"empty vertex range {lo}..{hi}")
     budget = _Budget(node_budget)
     per_m = []
     for m in range(lo, hi + 1):

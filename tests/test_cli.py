@@ -137,6 +137,12 @@ def test_verify_rejects_malformed_and_mismatched_files(tmp_path):
     assert code == 1 and out == (
         "error: colouring input is not JSON: "
         "Expecting value: line 1 column 1 (char 0)\n")
+    # nesting deeper than the decoder's stack is one error line, too
+    target.write_text("[" * 100_000)
+    code, out = run_cli("verify", "--s", "2", "--n", "2",
+                        "--level", "feeble", "--in", str(target))
+    assert code == 1 and out.count("\n") == 1
+    assert out.startswith("error: colouring input is not JSON: ")
 
 
 def test_search_certified_nonexistent(monkeypatch, dichromatic_certificate):

@@ -152,6 +152,34 @@ def test_gallai_k5_not_strong_12():
         assert not verify(col, sig((1, 2), 3), Level.STRONG).passed, colours
 
 
+def glued_12(n):
+    """For each colour a, a hub and one pair per colour b != a, the pair's
+    edge coloured b and the rest of the part coloured a; parts joined by
+    colour 1."""
+    part, pair_colour = [], {}  # the part of each vertex; pair edges
+    for a in range(1, n + 1):
+        part.append(a)
+        for b in range(1, n + 1):
+            if b != a:
+                pair_colour[len(part), len(part) + 1] = b
+                part += [a, a]
+    return EdgeColouring.from_function(
+        len(part), n, lambda i, j: 1 if part[i] != part[j]
+        else pair_colour.get((i, j), part[i]))
+
+
+def test_verify_glued_12_qualitative():
+    for n in range(3, 7):
+        col = glued_12(n)
+        assert col.m == n * (2 * n - 1)
+        report = verify(col, sig((1, 2), n), Level.QUALITATIVE)
+        assert report.passed, (n, report.summary())
+    # at n = 2 each part is one triangle, and none has colour 2 all round
+    report = verify(glued_12(2), sig((1, 2), 2), Level.QUALITATIVE)
+    assert report.missing_required == [(2, 2, 2)]
+    assert report.forbidden_total == 0
+
+
 def test_verify_chain_misses_multiset():
     # the 3-vertex chain has only the (1,2,2) triangle
     report = verify(chain_colouring(2), sig((2,), 2), Level.QUALITATIVE)
@@ -576,6 +604,11 @@ def test_json_round_trip():
     again = EdgeColouring.from_json(text)
     assert again == col
     assert again.to_json(s) == text  # bit-exact round trip
+
+
+def test_json_rejects_deep_nesting():
+    with pytest.raises(ValueError, match="colouring input is not JSON"):
+        EdgeColouring.from_json("[" * 100_000)
 
 
 def test_json_rejects_partial_edge_list():

@@ -4,7 +4,7 @@ from itertools import combinations
 
 import pytest
 
-from chromarep.algebra import Signature
+from chromarep.algebra import Signature, witness_pairs
 from chromarep.colouring import (EdgeColouring, Level, classify_triangle,
                                  verify)
 from chromarep.constructions import (RULES, DelegatedToSearch,
@@ -189,6 +189,35 @@ def test_construct_lyndon():
         "exhaustive search")
     assert isinstance(construct(sig((1, 3), 7), Level.STRONG),
                       NotConstructible)  # no plane of order 6
+
+
+def witness_bound(sig):
+    # an edge of colour c has a distinct third vertex for each pair that a
+    # strong representation must witness on it
+    return 2 + max(len(pairs) for pairs in witness_pairs(sig))
+
+
+def test_strong_witness_bound():
+    assert {s: [witness_bound(sig(s, n)) for n in range(2, 7)]
+            for s in [(2, 3), (1, 2), (1, 2, 3), (1, 3)]} == {
+        (2, 3): [5, 10, 17, 26, 37], (1, 2): [6, 9, 12, 15, 18],
+        (1, 2, 3): [6, 11, 18, 27, 38], (1, 3): [3, 5, 9, 15, 23]}
+    tight, loose = set(), {}
+    for s in RULES:
+        for n in range(1, 8):
+            col = construct(sig(s, n), Level.STRONG)
+            if isinstance(col, EdgeColouring):
+                bound = witness_bound(sig(s, n))
+                assert col.m >= bound, (s, n)
+                if col.m == bound:
+                    tight.add((tuple(sorted(s)), n))
+                else:
+                    loose[tuple(sorted(s)), n] = (col.m, bound)
+    # met by the n = 1 cells, the pentagon, lambda2(Q3) and AG(2, 3); AG(2, 4)
+    # and AG(2, 5) exceed it
+    assert tight == {(tuple(sorted(s)), 1) for s in RULES} | {
+        ((2,), 2), ((3,), 3), ((1, 3), 4)}
+    assert loose == {((1, 3), 5): (16, 15), ((1, 3), 6): (25, 23)}
 
 
 def test_construct_all_types():

@@ -1,14 +1,14 @@
 """Exhaustive search, enumeration and the summary-table cross-check."""
 
 import importlib
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
 from chromarep.algebra import Signature
 from chromarep.cli import certify_summary_row
 from chromarep.colouring import (EdgeColouring, Level, VerificationReport,
-                                 canonical_form, verify)
+                                 canonical_form, colour_rows, verify)
 from chromarep.constructions import pentagon
 from chromarep.search import (_Budget, _search_m, default_m_range,
                               enumerate_representations, search)
@@ -200,6 +200,46 @@ def test_too_small_k_m_visits_no_node():
     assert outcome.status == "aborted" and outcome.nodes == 1
     assert [(rec.m, rec.status, rec.nodes) for rec in outcome.per_m] == [
         (2, "skipped", 0), (3, "aborted", 1)]
+
+
+def test_search_rejects_empty_range_and_negative_budget():
+    with pytest.raises(ValueError, match="empty vertex range 5..3"):
+        search(sig((2,), 3), Level.QUALITATIVE, m_range=(5, 3))
+    with pytest.raises(ValueError, match="node budget must be >= 0, got -1"):
+        _Budget(-1)
+    with pytest.raises(ValueError, match="node budget"):
+        search(sig((2,), 3), Level.QUALITATIVE, node_budget=-1)
+    with pytest.raises(ValueError, match="node budget"):
+        enumerate_representations(sig((2,), 3), Level.QUALITATIVE, 4,
+                                  node_budget=-1)
+
+
+def test_search_12_n2_finds_m5_literal():
+    # colour 2 on the triangle {2, 3, 4} and the edge {1, 4}, else colour 1
+    literal = EdgeColouring.from_function(
+        5, 2, lambda i, j: 2 if (i, j) in {(2, 3), (2, 4), (3, 4), (1, 4)}
+        else 1)
+    outcome = search(sig((1, 2), 2), Level.QUALITATIVE)
+    assert (outcome.summary(), outcome.nodes) == ("found on m=5", 103)
+    assert outcome.colouring == literal
+    assert verify(literal, sig((1, 2), 2), Level.QUALITATIVE).passed
+
+
+def test_enumerate_13_line_size_theorem():
+    # with S = {1, 3} a line of colour a has at most n - 1 points, so at
+    # n = 3 every colour class is a matching and m <= 4; at n = 2 a line
+    # with a point off it has no edge, so an edge's colour covers all of K_m
+    for m, count in [(3, 1), (4, 1)] + [(m, 0) for m in range(5, 10)]:
+        results, partial = enumerate_representations(sig((1, 3), 3),
+                                                     Level.FEEBLE, m)
+        assert (len(results), partial) == (count, False), m
+        for col in results:
+            rows = colour_rows(m, col.colours)
+            assert all(len({rows[a][b], rows[a][c], rows[b][c]}) > 1
+                       for a, b, c in combinations(range(m), 3))
+    for m in range(2, 7):
+        assert enumerate_representations(sig((1, 3), 2), Level.FEEBLE,
+                                         m) == ([], False), m
 
 
 def test_enumerate_k4_matchings_unique():
