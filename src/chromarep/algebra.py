@@ -88,17 +88,14 @@ def required_multisets(sig) -> tuple:
                  if len({a, b, c}) in sig.s_set)
 
 
-FORBIDDEN = None
-
-
 @cache
 def triangle_table(sig) -> tuple:
-    """``table[a][b][c]`` is ``FORBIDDEN`` when a triangle with side colours
-    a, b, c has a forbidden type (or a colour is 0), and otherwise the index
-    of its sorted colour multiset in ``required_multisets(sig)``."""
-    ids = {t: k for k, t in enumerate(required_multisets(sig))}
+    """``table[a][b][c]`` is 0 when a triangle with side colours a, b, c
+    has a forbidden type (or a colour is 0), and otherwise ``1 << k`` for
+    its sorted colour multiset ``required_multisets(sig)[k]``."""
+    bits = {t: 1 << k for k, t in enumerate(required_multisets(sig))}
     colours = range(sig.n + 1)
-    return tuple(tuple(tuple(ids.get(tuple(sorted((a, b, c))), FORBIDDEN)
+    return tuple(tuple(tuple(bits.get(tuple(sorted((a, b, c))), 0)
                              for c in colours) for b in colours)
                  for a in colours)
 
@@ -111,7 +108,7 @@ def witness_pairs(sig) -> tuple:
     table = triangle_table(sig)
     colours = range(1, sig.n + 1)
     return tuple(tuple((a, b) for a in colours for b in colours
-                       if table[a][b][c] is not FORBIDDEN)
+                       if table[a][b][c])
                  for c in range(sig.n + 1))
 
 
@@ -190,7 +187,7 @@ def chromatic_atoms(sig: Signature) -> AtomStructure:
     for b in atoms:
         triples.update({(IDENTITY, b, b), (b, IDENTITY, b), (b, b, IDENTITY)})
     for a, b, c in product(range(1, sig.atom_count), repeat=3):
-        if table[a][b][c] is not FORBIDDEN:
+        if table[a][b][c]:
             triples.add((a, b, c))
     return AtomStructure(sig.atom_count,
                          tuple(atoms),

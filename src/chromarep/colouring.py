@@ -13,9 +13,8 @@ import json
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .algebra import (FORBIDDEN, MAX_WITNESSES, _int_rows, _json_object,
-                      _require_int, required_multisets, triangle_table,
-                      witness_pairs)
+from .algebra import (MAX_WITNESSES, _int_rows, _json_object, _require_int,
+                      required_multisets, triangle_table, witness_pairs)
 
 
 class Level(Enum):
@@ -96,7 +95,7 @@ class EdgeColouring:
                "edges": sorted([i, j, c] for i, j, c in self.edges())}
         if signature is not None:
             doc["signature"] = {"s": sorted(signature.s_set), "n": signature.n}
-        doc.setdefault("colours", self.n)
+        doc["colours"] = self.n
         return json.dumps(doc, indent=2, sort_keys=True)
 
     @classmethod
@@ -143,7 +142,7 @@ class EdgeColouring:
         """Undirected DOT export with a fixed 12-colour palette.
 
         Colour index k maps to PALETTE[(k-1) % 12]; beyond 12 colours the
-        palette cycles and a numeric suffix keeps labels distinct.
+        palette cycles, and each edge's ``label="k"`` keeps colours distinct.
         """
         lines = ["graph colouring {"]
         for i, j, c in self.edges():
@@ -210,8 +209,8 @@ def triangle_scan(rows, sig):
     ``combinations`` order.
 
     Returns (forbidden total, the first ``MAX_WITNESSES`` forbidden
-    (vertex triple, colour triple) pairs, first), where ``first[k]`` is the
-    first vertex triple realising ``required_multisets(sig)[k]``.
+    (vertex triple, colour triple) pairs, first), where ``first[1 << k]``
+    is the first vertex triple realising ``required_multisets(sig)[k]``.
     """
     table = triangle_table(sig)
     m = len(rows)
@@ -222,14 +221,14 @@ def triangle_scan(rows, sig):
             row_y = rows[y]
             table_xy = table[row_x[y]]
             for z in range(y + 1, m):
-                k = table_xy[row_y[z]][row_x[z]]
-                if k is FORBIDDEN:
+                bit = table_xy[row_y[z]][row_x[z]]
+                if not bit:
                     total += 1
                     if len(witnesses) < MAX_WITNESSES:
                         witnesses.append(((x, y, z),
                                           (row_x[y], row_y[z], row_x[z])))
-                elif k not in first:
-                    first[k] = (x, y, z)
+                elif bit not in first:
+                    first[bit] = (x, y, z)
     return total, witnesses, first
 
 
@@ -286,7 +285,8 @@ def verify(col: EdgeColouring, sig, level: Level) -> VerificationReport:
 
     if level is not Level.FEEBLE:
         report.missing_required = [
-            t for k, t in enumerate(required_multisets(sig)) if k not in realized]
+            t for k, t in enumerate(required_multisets(sig))
+            if 1 << k not in realized]
 
     if level is Level.STRONG:
         for failure in unwitnessed(rows, sig):

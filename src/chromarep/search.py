@@ -8,11 +8,12 @@ It prunes when a completed triangle has a forbidden type, and on entering a
 position by one bound: too few edges left for surjectivity, or too few
 triangles for the missing multisets.  ``search`` breaks only this colour
 symmetry; ``enumerate_representations`` also breaks vertex symmetry, by
-orderly generation (Read 1978, Faradzev 1978).  Two exhaustions are
-reported as nonexistence certificates: the default range [2, 3(n+1)] at
-the qualitative level, which rests on the range being complete, unproved
-(ROADMAP.md, item 2); and [2, 2n] at the feeble level, which is proved
-(see ``search``).  Any other exhaustion is only a range-limited answer.
+orderly generation (Read 1978, Faradzev 1978), whose canonical-prefix test
+joins the same bound.  Two exhaustions are reported as nonexistence
+certificates: the default range [2, 3(n+1)] at the qualitative level,
+which rests on the range being complete, unproved (ROADMAP.md, item 2);
+and [2, 2n] at the feeble level, which is proved (see ``search``).  Any
+other exhaustion is only a range-limited answer.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import time
 from dataclasses import dataclass, field
 from math import comb
 
-from .algebra import FORBIDDEN, Signature, required_multisets, triangle_table
+from .algebra import Signature, required_multisets, triangle_table
 from .colouring import (EdgeColouring, Level, _is_canonical, canonical_form,
                         colour_rows, edge_index, edge_list, unwitnessed,
                         verify)
@@ -93,22 +94,21 @@ def _search_m(sig: Signature, level: Level, m: int, budget: _Budget, *,
 
     Yields every solution, in depth-first order.  One loop walks the edge
     positions and the leaf, position ``total``, entered like any other, so
-    the one bound on entering is the only site of the surjectivity and
-    multiset prunes.  Position idx keeps its colour ``colours[idx]`` (0 =
-    none tried yet), the colour count ``entry_used[idx]`` on entering it,
-    and ``first_bits[idx]``, the multisets its triangles realised first; so
-    undoing a colour is one assignment and one xor.
+    the one bound on entering is the only site of every prune but the
+    forbidden triangle.  Position idx keeps its colour ``colours[idx]``
+    (0 = none tried yet), the colour count ``entry_used[idx]`` on entering
+    it, and ``first_bits[idx]``, the multisets its triangles realised
+    first, as ``triangle_table``'s bits; so undoing a colour is one
+    assignment and one xor.
 
-    With ``orderly``, a colour that ends column j is dropped unless the
-    colouring of K_{j+1} on vertices 0..j is its own canonical form; then
-    the solutions yielded are exactly the canonical forms of the solutions
-    (see ``enumerate_representations``).
+    With ``orderly``, the bound also fails position comb(j, 2), the first
+    edge of column j or the leaf when j = m, unless the colouring of K_j on
+    vertices 0..j-1 is its own canonical form; then the solutions yielded
+    are exactly the canonical forms of the solutions (see
+    ``enumerate_representations``).
     """
     n = sig.n
-    # bit[c][a][b]: 0 when a triangle with side colours c, a, b is
-    # forbidden, else 1 << the index of its multiset
-    bit = [[[0 if k is FORBIDDEN else 1 << k for k in row] for row in plane]
-           for plane in triangle_table(sig)]
+    bit = triangle_table(sig)
     edges = edge_list(m)
     total = len(edges)
     strong = level is Level.STRONG
@@ -121,9 +121,10 @@ def _search_m(sig: Signature, level: Level, m: int, budget: _Budget, *,
     # at the leaf
     remaining_triangles = [comb(m, 3) - comb(j, 3) - comb(i, 2)
                            for i, j in edges] + [0]
-    # the vertex count of the prefix that each column end completes, from
-    # K_3 (K_2 has one colouring) up to the leaf, which is tested last
-    column_ends = {edge_index(j - 1, j): j + 1 for j in range(2, m - 1)}
+    # entering position comb(j, 2), the first edge of column j or the leaf,
+    # finds vertices 0..j-1 coloured: the prefixes from K_3 (K_2 has one
+    # colouring) up to K_m
+    prefixes = {comb(j, 2): j for j in range(3, m + 1)}
 
     colours, entry_used, first_bits = [[0] * (total + 1) for _ in range(3)]
     # bit k of realised is set once a triangle realises multiset k; the
@@ -138,17 +139,19 @@ def _search_m(sig: Signature, level: Level, m: int, budget: _Budget, *,
             if new := first_bits[idx]:
                 realised ^= new
                 missing += new.bit_count()
-        elif used + (total - idx) < n or missing > remaining_triangles[idx]:
-            # the one bound: surjectivity or the missing multisets
+        elif (used + (total - idx) < n or missing > remaining_triangles[idx]
+              or orderly and idx in prefixes
+              and not _is_canonical(colour_rows(prefixes[idx], colours))):
+            # the one bound: surjectivity, the missing multisets, or a
+            # prefix that is not its own canonical form
             idx -= 1
             continue
         elif idx == total:
-            # the leaf: the strong witnesses, then the canonical test; a leaf
-            # that fails one never reaches verify
+            # the leaf: the strong witnesses; a leaf without every witness
+            # never reaches verify
             idx -= 1
-            rows = colour_rows(m, colours)
-            if (strong and next(unwitnessed(rows, sig), None) is not None
-                    or orderly and not _is_canonical(rows)):
+            if strong and next(unwitnessed(colour_rows(m, colours), sig),
+                               None) is not None:
                 continue
             cand = EdgeColouring(m, n, tuple(colours[:total]))
             # independent soundness check
@@ -181,9 +184,6 @@ def _search_m(sig: Signature, level: Level, m: int, budget: _Budget, *,
             realised |= new
             missing -= new.bit_count()
         first_bits[idx] = new
-        if orderly and idx in column_ends and not _is_canonical(
-                colour_rows(column_ends[idx], colours)):
-            continue
         idx += 1
         entry_used[idx] = used
 
@@ -240,17 +240,17 @@ def enumerate_representations(sig: Signature, level: Level, m: int,
     Returns (colourings, partial): partial is True when the budget ran out,
     in which case the list must not be used as a completeness certificate.
 
-    Vertex symmetry is broken by orderly generation: the search drops a
-    colouring as soon as its prefix on vertices 0..j is not its own
-    canonical form, and no canonical form is dropped.  A code lists rows in
-    the order in which the search colours edges, rows have fixed lengths,
-    and first-occurrence renaming of a prefix depends only on the prefix;
-    so if some ordering of the first j+1 vertices gave their colouring a
-    smaller code, that ordering followed by the other vertices would give
-    the whole colouring a smaller one.  Each iso-class therefore reaches
-    exactly one leaf, its canonical form.  Each leaf is still verified and
-    deduplicated by its canonical code, so a missed prune costs time,
-    never a class.
+    Vertex symmetry is broken by orderly generation: the search's entry
+    bound drops a colouring as soon as its prefix on vertices 0..j is not
+    its own canonical form, and no canonical form is dropped.  A code lists
+    rows in the order in which the search colours edges, rows have fixed
+    lengths, and first-occurrence renaming of a prefix depends only on the
+    prefix; so if some ordering of the first j+1 vertices gave their
+    colouring a smaller code, that ordering followed by the other vertices
+    would give the whole colouring a smaller one.  Each iso-class therefore
+    reaches exactly one leaf, its canonical form.  Each leaf is still
+    verified and deduplicated by its canonical code, so a missed prune
+    costs time, never a class.
     """
     hi = default_m_range(sig)[1]
     if not 1 <= m <= hi:

@@ -8,7 +8,8 @@ import pytest
 from chromarep.algebra import (AtomStructure, Signature, atom_mask,
                                atoms_in_mask, check_na_atom_structure,
                                chromatic_atoms, compose, converse_mask,
-                               is_associative, peircean_transforms)
+                               is_associative, peircean_transforms,
+                               required_multisets, triangle_table)
 
 ALL_S = [(), (1,), (2,), (3,), (1, 2), (1, 3), (2, 3), (1, 2, 3)]
 
@@ -84,6 +85,21 @@ def test_structure_check_all_signatures():
     for s in ALL_S:
         for n in range(1, 9):
             assert check_na_atom_structure(chromatic_atoms(sig(s, n))).valid
+
+
+def test_triangle_table_format():
+    # 0 for a colour 0 or a forbidden type, else the bit of the multiset
+    for s, n in product(ALL_S, range(1, 4)):
+        table = triangle_table(sig(s, n))
+        needed = required_multisets(sig(s, n))
+        for a, b, c in product(range(n + 1), repeat=3):
+            entry = table[a][b][c]
+            if 0 in (a, b, c) or len({a, b, c}) not in s:
+                assert entry == 0
+            else:
+                assert entry.bit_count() == 1
+                assert needed[entry.bit_length() - 1] == tuple(
+                    sorted((a, b, c)))
 
 
 def test_structure_check_closure_violation():

@@ -216,6 +216,12 @@ def test_enumerate():
     assert code == 0
     doc = json.loads(out)
     assert doc["count"] == 1 and not doc["partial"]
+    # a budget that runs out prints the classes found so far and exits 3
+    code, out = run_cli("enumerate", "--s", "1,2", "--n", "2", "--m", "7",
+                        "--budget-nodes", "1000")
+    assert code == 3
+    doc = json.loads(out)
+    assert (doc["count"], doc["partial"]) == (32, True)
 
 
 def test_witness():

@@ -149,21 +149,42 @@ def test_symmetry_breaking_safety(s, n, level, m):
     assert [c.colours for c in found] == sorted(brute)
 
 
-ORDERLY_CASES = BRUTE_FORCE_CASES + [((1, 2), 2, Level.QUALITATIVE, 6)]
+# each case with the leaves and nodes of the orderly kernel, measured: the
+# canonical-prefix prune must cut exactly these nodes
+ORDERLY_CASES = [case + pin for case, pin in zip(BRUTE_FORCE_CASES, [
+    (1, 31), (3, 215), (1, 31), (0, 3), (1, 4), (1, 10), (7, 66), (0, 13),
+    (0, 215), (1, 31)])] + [
+    ((1, 2), 2, Level.QUALITATIVE, 6, 37, 1331),
+    ((2, 3), 3, Level.STRONG, 6, 0, 5568),
+    ((1, 3), 4, Level.STRONG, 9, 1, 315),
+]
 
 
 @pytest.mark.parametrize(
-    "s, n, level, m", ORDERLY_CASES,
+    "s, n, level, m, leaf_count, nodes", ORDERLY_CASES,
     ids=[f"{''.join(map(str, s))}-n{n}-{level.value}-m{m}"
-         for s, n, level, m in ORDERLY_CASES])
-def test_orderly_search_reaches_each_class_once(s, n, level, m):
+         for s, n, level, m, _, _ in ORDERLY_CASES])
+def test_orderly_search_reaches_each_class_once(s, n, level, m, leaf_count,
+                                                nodes):
     # with the canonical-prefix prune every leaf is already canonical, and
     # no two leaves share a class, so enumerate's dedupe drops nothing
-    leaves = list(_search_m(sig(s, n), level, m, _Budget(None), orderly=True))
+    budget = _Budget(None)
+    leaves = list(_search_m(sig(s, n), level, m, budget, orderly=True))
+    assert (len(leaves), budget.nodes) == (leaf_count, nodes)
     assert all(canonical_form(c) == c for c in leaves)
     found, partial = enumerate_representations(sig(s, n), level, m)
     assert not partial
     assert sorted(c.colours for c in leaves) == [c.colours for c in found]
+
+
+def test_enumerate_budget_edge():
+    # the orderly search of {1,2}, n=2 on K_6 takes 1,331 nodes and finds
+    # its last class before its last node, so one node less still returns
+    # every class, but reports partial
+    for budget, partial in [(1331, False), (1330, True)]:
+        results, got = enumerate_representations(
+            sig((1, 2), 2), Level.QUALITATIVE, 6, node_budget=budget)
+        assert (len(results), got) == (37, partial)
 
 
 def test_enumerate_m7_class_count():
