@@ -91,11 +91,11 @@ def required_multisets(sig) -> tuple:
 @cache
 def triangle_table(sig) -> tuple:
     """``table[a][b][c]`` is 0 when a triangle with side colours a, b, c
-    has a forbidden type (or a colour is 0), and otherwise ``1 << k`` for
+    has a forbidden type (or a colour is 0), and otherwise ``k + 1`` for
     its sorted colour multiset ``required_multisets(sig)[k]``."""
-    bits = {t: 1 << k for k, t in enumerate(required_multisets(sig))}
+    ids = {t: k + 1 for k, t in enumerate(required_multisets(sig))}
     colours = range(sig.n + 1)
-    return tuple(tuple(tuple(bits.get(tuple(sorted((a, b, c))), 0)
+    return tuple(tuple(tuple(ids.get(tuple(sorted((a, b, c))), 0)
                              for c in colours) for b in colours)
                  for a in colours)
 

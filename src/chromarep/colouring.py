@@ -209,8 +209,8 @@ def triangle_scan(rows, sig):
     ``combinations`` order.
 
     Returns (forbidden total, the first ``MAX_WITNESSES`` forbidden
-    (vertex triple, colour triple) pairs, first), where ``first[1 << k]``
-    is the first vertex triple realising ``required_multisets(sig)[k]``.
+    (vertex triple, colour triple) pairs, first), where ``first[k]`` is the
+    first vertex triple realising ``required_multisets(sig)[k]``.
     """
     table = triangle_table(sig)
     m = len(rows)
@@ -221,15 +221,15 @@ def triangle_scan(rows, sig):
             row_y = rows[y]
             table_xy = table[row_x[y]]
             for z in range(y + 1, m):
-                bit = table_xy[row_y[z]][row_x[z]]
-                if not bit:
+                entry = table_xy[row_y[z]][row_x[z]]
+                if not entry:
                     total += 1
                     if len(witnesses) < MAX_WITNESSES:
                         witnesses.append(((x, y, z),
                                           (row_x[y], row_y[z], row_x[z])))
-                elif bit not in first:
-                    first[bit] = (x, y, z)
-    return total, witnesses, first
+                elif entry not in first:
+                    first[entry] = (x, y, z)
+    return total, witnesses, {k - 1: v for k, v in first.items()}
 
 
 def unwitnessed(rows, sig):
@@ -285,8 +285,7 @@ def verify(col: EdgeColouring, sig, level: Level) -> VerificationReport:
 
     if level is not Level.FEEBLE:
         report.missing_required = [
-            t for k, t in enumerate(required_multisets(sig))
-            if 1 << k not in realized]
+            t for k, t in enumerate(required_multisets(sig)) if k not in realized]
 
     if level is Level.STRONG:
         for failure in unwitnessed(rows, sig):

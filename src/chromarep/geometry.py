@@ -156,8 +156,8 @@ def check_ls5(sp: LinearSpace, pw: Parallelism) -> Ls5Report:
         if not a < b < c:
             continue
         combo = (a - 1, b - 1, c - 1)
-        if 1 << k in first:
-            report.witnesses[combo] = first[1 << k]
+        if k in first:
+            report.witnesses[combo] = first[k]
         else:
             if len(report.failures) < MAX_WITNESSES:
                 report.failures.append(combo)

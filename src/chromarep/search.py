@@ -5,15 +5,15 @@ The search colours the edges of K_m one at a time in the fixed enumeration
 order, taking colours in first-occurrence order (a triangle's consistency
 depends only on how many distinct colours it has, so no iso-class is lost).
 It prunes when a completed triangle has a forbidden type, and on entering a
-position by one bound: too few edges left for surjectivity, or too few
-triangles for the missing multisets.  ``search`` breaks only this colour
-symmetry; ``enumerate_representations`` also breaks vertex symmetry, by
-orderly generation (Read 1978, Faradzev 1978), whose canonical-prefix test
-joins the same bound.  Two exhaustions are reported as nonexistence
-certificates: the default range [2, 3(n+1)] at the qualitative level,
-which rests on the range being complete, unproved (ROADMAP.md, item 2);
-and [2, 2n] at the feeble level, which is proved (see ``search``).  Any
-other exhaustion is only a range-limited answer.
+position by one bound: too few edges left for surjectivity, too few
+triangles for the missing multisets, or a strong leaf's missing witness.
+``search`` breaks only this colour symmetry; ``enumerate_representations``
+also breaks vertex symmetry, by orderly generation (Read 1978, Faradzev
+1978), whose canonical-prefix test joins the bound.  Two exhaustions are
+reported as nonexistence certificates: the default range [2, 3(n+1)] at
+the qualitative level, which rests on the range being complete, unproved
+(ROADMAP.md, item 2); and [2, 2n] at the feeble level, which is proved
+(see ``search``).  Any other exhaustion is only a range-limited answer.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
+from functools import cache
 from math import comb
 
 from .algebra import Signature, required_multisets, triangle_table
@@ -88,6 +89,14 @@ class _Budget:
             raise BudgetExceeded
 
 
+@cache
+def _bit_table(sig: Signature) -> tuple:
+    """``triangle_table(sig)`` with entry k + 1 read as the multiset bit
+    ``1 << k``, the form the search's realised-multiset int needs."""
+    return tuple(tuple(tuple(k and 1 << (k - 1) for k in row) for row in plane)
+                 for plane in triangle_table(sig))
+
+
 def _search_m(sig: Signature, level: Level, m: int, budget: _Budget, *,
               orderly=False):
     """Depth-first search over colourings of K_m.
@@ -95,20 +104,18 @@ def _search_m(sig: Signature, level: Level, m: int, budget: _Budget, *,
     Yields every solution, in depth-first order.  One loop walks the edge
     positions and the leaf, position ``total``, entered like any other, so
     the one bound on entering is the only site of every prune but the
-    forbidden triangle.  Position idx keeps its colour ``colours[idx]``
-    (0 = none tried yet), the colour count ``entry_used[idx]`` on entering
-    it, and ``first_bits[idx]``, the multisets its triangles realised
-    first, as ``triangle_table``'s bits; so undoing a colour is one
-    assignment and one xor.
+    forbidden triangle.  Position idx keeps its colour ``colours[idx]`` (0 =
+    none tried yet), the colour count ``entry_used[idx]`` on entering it,
+    and ``first_bits[idx]``, the multisets its triangles realised first; so
+    undoing a colour is one assignment and one xor.
 
     With ``orderly``, the bound also fails position comb(j, 2), the first
-    edge of column j or the leaf when j = m, unless the colouring of K_j on
-    vertices 0..j-1 is its own canonical form; then the solutions yielded
-    are exactly the canonical forms of the solutions (see
-    ``enumerate_representations``).
+    edge of column j or the leaf, unless the colouring of vertices 0..j-1 is
+    its own canonical form; then the solutions yielded are exactly the
+    canonical forms of the solutions (see ``enumerate_representations``).
     """
     n = sig.n
-    bit = triangle_table(sig)
+    bit = _bit_table(sig)
     edges = edge_list(m)
     total = len(edges)
     strong = level is Level.STRONG
@@ -121,9 +128,8 @@ def _search_m(sig: Signature, level: Level, m: int, budget: _Budget, *,
     # at the leaf
     remaining_triangles = [comb(m, 3) - comb(j, 3) - comb(i, 2)
                            for i, j in edges] + [0]
-    # entering position comb(j, 2), the first edge of column j or the leaf,
-    # finds vertices 0..j-1 coloured: the prefixes from K_3 (K_2 has one
-    # colouring) up to K_m
+    # entering position comb(j, 2) finds vertices 0..j-1 coloured: the
+    # prefixes K_3 (K_2 has one colouring) to K_m, the last at the leaf
     prefixes = {comb(j, 2): j for j in range(3, m + 1)}
 
     colours, entry_used, first_bits = [[0] * (total + 1) for _ in range(3)]
@@ -140,19 +146,16 @@ def _search_m(sig: Signature, level: Level, m: int, budget: _Budget, *,
                 realised ^= new
                 missing += new.bit_count()
         elif (used + (total - idx) < n or missing > remaining_triangles[idx]
+              or strong and idx == total
+              and any(unwitnessed(colour_rows(m, colours), sig))
               or orderly and idx in prefixes
               and not _is_canonical(colour_rows(prefixes[idx], colours))):
-            # the one bound: surjectivity, the missing multisets, or a
-            # prefix that is not its own canonical form
+            # the one bound: surjectivity, the missing multisets, a strong
+            # leaf's missing witness, then (costlier) a non-canonical prefix
             idx -= 1
             continue
-        elif idx == total:
-            # the leaf: the strong witnesses; a leaf without every witness
-            # never reaches verify
+        elif idx == total:  # the leaf, past the bound
             idx -= 1
-            if strong and next(unwitnessed(colour_rows(m, colours), sig),
-                               None) is not None:
-                continue
             cand = EdgeColouring(m, n, tuple(colours[:total]))
             # independent soundness check
             if not verify(cand, sig, level).passed:

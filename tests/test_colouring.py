@@ -2,13 +2,15 @@
 
 import json
 import random
+import tracemalloc
 from dataclasses import asdict
 from itertools import combinations, permutations, product
 from pathlib import Path
 
 import pytest
 
-from chromarep.algebra import MAX_WITNESSES, Signature, required_multisets
+from chromarep.algebra import (MAX_WITNESSES, Signature, required_multisets,
+                               triangle_table)
 from chromarep.colouring import (DOT_PALETTE, EdgeColouring, Level,
                                  _is_canonical, are_isomorphic, canonical_form,
                                  chromatic_degree, classify_triangle,
@@ -200,6 +202,23 @@ def test_verify_not_surjective():
     col = EdgeColouring(3, 2, (1, 1, 1))
     report = verify(col, sig((1, 2), 2), Level.FEEBLE)
     assert not report.passed and not report.surjective
+
+
+def test_verify_table_stays_small_at_moderate_n():
+    # {1,2,3}, n=60 has C(62, 3) = 37,820 multisets: the (n+1)^3 table
+    # verify reads must hold small indices (a few MB), not a multiset bit
+    # each (about 1 GB)
+    s = sig((1, 2, 3), 60)
+    triangle_table.cache_clear()
+    required_multisets.cache_clear()
+    tracemalloc.start()
+    try:
+        report = verify(EdgeColouring(2, 60, (1,)), s, Level.QUALITATIVE)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(report.missing_required) == 37820
+    assert peak < 32_000_000
 
 
 def test_verify_colour_count_mismatch():

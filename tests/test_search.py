@@ -153,7 +153,7 @@ def test_symmetry_breaking_safety(s, n, level, m):
 # canonical-prefix prune must cut exactly these nodes
 ORDERLY_CASES = [case + pin for case, pin in zip(BRUTE_FORCE_CASES, [
     (1, 31), (3, 215), (1, 31), (0, 3), (1, 4), (1, 10), (7, 66), (0, 13),
-    (0, 215), (1, 31)])] + [
+    (0, 215), (1, 31)], strict=True)] + [
     ((1, 2), 2, Level.QUALITATIVE, 6, 37, 1331),
     ((2, 3), 3, Level.STRONG, 6, 0, 5568),
     ((1, 3), 4, Level.STRONG, 9, 1, 315),
@@ -185,6 +185,18 @@ def test_enumerate_budget_edge():
         results, got = enumerate_representations(
             sig((1, 2), 2), Level.QUALITATIVE, 6, node_budget=budget)
         assert (len(results), got) == (37, partial)
+
+
+def test_strong_leaf_tests_witnesses_before_canonical(monkeypatch):
+    # most strong leaves of {2,3}, n=3 on K_6 lack a witness; the cheaper
+    # witness test drops them first, so 378 canonical tests run, not 1,637
+    module = importlib.import_module("chromarep.search")
+    real, calls = module._is_canonical, []
+    monkeypatch.setattr(module, "_is_canonical",
+                        lambda rows: calls.append(rows) or real(rows))
+    leaves = list(_search_m(sig((2, 3), 3), Level.STRONG, 6, _Budget(None),
+                            orderly=True))
+    assert (len(leaves), len(calls)) == (0, 378)
 
 
 def test_enumerate_m7_class_count():
