@@ -10,6 +10,7 @@ of the triangles the colouring realises.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -185,7 +186,11 @@ class VerificationReport:
         if self.forbidden_total:
             bits.append(f"{self.forbidden_total} forbidden triangle(s)")
         if self.missing_required:
-            bits.append(f"missing multisets {self.missing_required}")
+            missing = self.missing_required
+            text = f"missing multisets {missing[:MAX_WITNESSES]}"
+            if len(missing) > MAX_WITNESSES:
+                text += f" (first {MAX_WITNESSES} of {len(missing)})"
+            bits.append(text)
         if self.strong_total:
             bits.append(f"{self.strong_total} unwitnessed edge/triple pair(s)")
         return f"{self.level_requested.value}: FAIL ({'; '.join(bits)})"
@@ -478,7 +483,15 @@ def _least_code(rows, bound=None):
 
 
 def are_isomorphic(a: EdgeColouring, b: EdgeColouring) -> bool:
-    """Equality of canonical forms (vertex and colour permutations allowed)."""
+    """Whether a vertex and a colour permutation carry ``a`` onto ``b``.
+
+    The sorted colour-class sizes are compared first.  Canonical forms,
+    which can cost as much as a maximum clique on rigid inputs, are
+    compared only when those agree.
+    """
     if a.m != b.m or a.n != b.n:
+        return False
+    if sorted(Counter(a.colours).values()) \
+            != sorted(Counter(b.colours).values()):
         return False
     return canonical_form(a).colours == canonical_form(b).colours

@@ -204,6 +204,17 @@ def test_verify_not_surjective():
     assert not report.passed and not report.surjective
 
 
+def test_summary_caps_missing_multisets():
+    # {1,2,3}, n=10 requires C(12, 3) = 220 multisets; K_2 realises none
+    report = verify(EdgeColouring(2, 10, (1,)), sig((1, 2, 3), 10),
+                    Level.QUALITATIVE)
+    assert len(report.missing_required) == 220
+    shown = report.missing_required[:MAX_WITNESSES]
+    assert report.summary() == (
+        f"qualitative: FAIL (not surjective; missing multisets {shown} "
+        f"(first {MAX_WITNESSES} of 220))")
+
+
 def test_verify_table_stays_small_at_moderate_n():
     # {1,2,3}, n=60 has C(62, 3) = 37,820 multisets: the (n+1)^3 table
     # verify reads must hold small indices (a few MB), not a multiset bit
@@ -611,6 +622,32 @@ def test_are_isomorphic_basics():
     assert are_isomorphic(col, col)
     assert not are_isomorphic(col, walecki(3))     # different m
     assert not are_isomorphic(pentagon(), EdgeColouring(5, 2, (1,) * 10))
+
+
+def test_are_isomorphic_matches_canonical_forms():
+    # every 2-colouring of K_5 and every 3-colouring of K_4, against one
+    # representative of each class
+    for m, n in [(5, 2), (4, 3)]:
+        cols = [EdgeColouring(m, n, colours) for colours in
+                product(range(1, n + 1), repeat=m * (m - 1) // 2)]
+        canon = {col: canonical_form(col).colours for col in cols}
+        reps = {}
+        for col in cols:
+            reps.setdefault(canon[col], col)
+        for col in cols:
+            for form, rep in reps.items():
+                assert are_isomorphic(col, rep) == (canon[col] == form), col
+
+
+def test_are_isomorphic_refutes_by_class_sizes(monkeypatch):
+    def refuse(col):
+        raise AssertionError("canonical_form called")
+
+    monkeypatch.setattr("chromarep.colouring.canonical_form", refuse)
+    # equal m and n, different colour-class sizes
+    a, b = chain_colouring(9), lambda2(standard_qn(9))
+    assert (a.m, a.n) == (b.m, b.n)
+    assert not are_isomorphic(a, b)
 
 
 def test_json_round_trip():
