@@ -157,6 +157,17 @@ DOT_PALETTE = ("red", "blue", "green", "orange", "purple", "brown",
                "cyan", "magenta", "gold", "gray", "darkgreen", "navy")
 
 
+def cayley(add, n: int, f) -> EdgeColouring:
+    """K_m on the abelian group with addition table ``add`` (identity 0),
+    {x, y} coloured f[y - x]; ValueError unless f[d] == f[-d] for d != 0."""
+    neg = [row.index(0) for row in add]
+    for d in range(1, len(add)):
+        if f[d] != f[neg[d]]:
+            raise ValueError(f"f[{d}] = {f[d]} but f[-{d}] = {f[neg[d]]}")
+    return EdgeColouring.from_function(len(add), n,
+                                       lambda x, y: f[add[y][neg[x]]])
+
+
 def classify_triangle(col: EdgeColouring, x: int, y: int, z: int) -> int:
     """Number of distinct colours on the sides of triangle {x,y,z}."""
     return len({col.colour(x, y), col.colour(y, z), col.colour(x, z)})

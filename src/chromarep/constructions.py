@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import Signature
-from .colouring import EdgeColouring, Level, verify
+from .colouring import EdgeColouring, Level, cayley, verify
 from .geometry import (affine_plane, colouring_from_parallelism, drop_points,
                        near_pencil, prime_power)
 from .quasigroup import lambda2, standard_qn
@@ -40,10 +40,9 @@ def single_colour(m: int) -> EdgeColouring:
 
 
 def pentagon() -> EdgeColouring:
-    """C_5 edges in colour 1, diagonals in colour 2."""
-    def colour_of(i, j):
-        return 1 if (j - i) % 5 in (1, 4) else 2
-    return EdgeColouring.from_function(5, 2, colour_of)
+    """C_5 edges in colour 1, diagonals in colour 2: ``cayley`` on Z_5."""
+    z5 = [[(a + b) % 5 for b in range(5)] for a in range(5)]
+    return cayley(z5, 2, (None, 1, 2, 2, 1))
 
 
 def chain_colouring(n: int) -> EdgeColouring:

@@ -16,7 +16,7 @@ from math import isqrt
 
 from .algebra import (MAX_WITNESSES, Signature, _int_rows, _json_object,
                       _require_int, required_multisets)
-from .colouring import EdgeColouring, colour_rows, triangle_scan
+from .colouring import EdgeColouring, cayley, colour_rows, triangle_scan
 
 
 @dataclass(frozen=True)
@@ -224,6 +224,19 @@ def _field_tables(q: int):
         if all(mul[a][b] for a in range(1, q) for b in range(1, q)):
             return add, mul
     raise AssertionError(f"no irreducible modulus of degree {k} over Z_{p}")
+
+
+def cyclotomic(q: int, n: int) -> EdgeColouring:
+    """``cayley`` over GF(q) with f[d] = (log_g d mod n) + 1, g the least
+    primitive element (Comer 1983); symmetric if q is even or 2n | q - 1."""
+    add, mul = _field_tables(q)
+    for g in range(1, q):
+        log, x = {}, 1
+        while x not in log:
+            log[x] = len(log)
+            x = mul[x][g]
+        if len(log) == q - 1:
+            return cayley(add, n, {d: e % n + 1 for d, e in log.items()})
 
 
 def affine_plane(q: int):

@@ -13,12 +13,12 @@ from chromarep.algebra import (MAX_WITNESSES, Signature, required_multisets,
                                triangle_table)
 from chromarep.colouring import (DOT_PALETTE, EdgeColouring, Level,
                                  _is_canonical, are_isomorphic, canonical_form,
-                                 chromatic_degree, classify_triangle,
+                                 cayley, chromatic_degree, classify_triangle,
                                  colour_rows, edge_index, edge_list, saturate,
                                  unwitnessed, verify)
 from chromarep.constructions import (chain_colouring, construct, pentagon,
                                      single_colour, walecki)
-from chromarep.geometry import _field_tables
+from chromarep.geometry import _field_tables, cyclotomic
 from chromarep.quasigroup import lambda1, lambda2, standard_qn
 
 
@@ -26,10 +26,16 @@ def sig(s, n):
     return Signature(frozenset(s), n)
 
 
-K4_MATCHINGS = EdgeColouring.from_function(
-    4, 3, lambda i, j: {frozenset(p): c for c, ps in enumerate(
-        ([(0, 1), (2, 3)], [(0, 2), (1, 3)], [(0, 3), (1, 2)]), start=1)
-        for p in ps}[frozenset((i, j))])
+def zmod(r, b=1):
+    """Addition table of Z_r x Z_b, with (x, y) numbered b*x + y."""
+    return [[(i // b + j // b) % r * b + (i + j) % b for j in range(r * b)]
+            for i in range(r * b)]
+
+
+# GF(4) with {x, y} coloured x + y: three perfect matchings
+K4_MATCHINGS = cayley(_field_tables(4)[0], 3, range(4))
+# Z_12 with f(1..6) = (1, 1, 2, 2, 1, 2) and f(-d) = f(d)
+Z12_CIRCULANT = cayley(zmod(12), 2, (None, 1, 1, 2, 2, 1, 2, 1, 2, 2, 1, 1))
 
 
 def test_edge_enumeration_order():
@@ -93,49 +99,29 @@ def test_verify_pentagon_strong():
 
 
 def test_verify_z12_circulant_strong():
-    # no builder reaches these strong cells: the circulant on Z_12 colouring
-    # {i, j} by f(distance), f(1..6) = (1, 1, 2, 2, 1, 2)
-    f = (1, 1, 2, 2, 1, 2)
-    col = EdgeColouring.from_function(
-        12, 2, lambda i, j: f[min(j - i, 12 - j + i) - 1])
+    # strong {1,2} and {1,2,3} at n=2, though no RULES row uses it yet
     for s in ((1, 2), (1, 2, 3)):
-        report = verify(col, sig(s, 2), Level.STRONG)
+        report = verify(Z12_CIRCULANT, sig(s, 2), Level.STRONG)
         assert report.passed, (s, report.summary())
 
 
-def cyclic_log_colouring(q, mul, op):
-    """K_q coloured by {x, y} -> (log_g(op(x, y)) mod 3) + 1, where g is the
-    least element of multiplicative order q - 1 under ``mul``."""
-    def powers(g):
-        out, x = [], 1
-        while x not in out:
-            out.append(x)
-            x = mul(x, g)
-        return out
-
-    g = next(g for g in range(2, q) if len(powers(g)) == q - 1)
-    log = {x: e for e, x in enumerate(powers(g))}
-    return EdgeColouring.from_function(
-        q, 3, lambda x, y: log[op(x, y)] % 3 + 1)
-
-
-@pytest.mark.parametrize("p, s", [(13, (2, 3)), (19, (1, 2, 3))])
-def test_verify_cyclotomic_strong(p, s):
-    # Z_p with {x, y} coloured by the cubic class of y - x; p = 1 (mod 6),
-    # so -1 is a cube and the colour does not depend on the edge's direction
-    col = cyclic_log_colouring(p, lambda x, y: x * y % p,
-                               lambda x, y: (y - x) % p)
-    report = verify(col, sig(s, 3), Level.STRONG)
+# (q, n, S): the least p = 1 (mod 2n) with a strong cyclotomic S, n = 2..6
+@pytest.mark.parametrize("q, n, s", [
+    *((p, n, "23") for n, p in enumerate((5, 13, 41, 71, 97), start=2)),
+    *((p, n, "123") for n, p in enumerate((13, 19, 73, 131, 181), start=2)),
+    (16, 3, "23")])  # GF(16), where -1 = 1
+def test_verify_cyclotomic_strong(q, n, s):
+    report = verify(cyclotomic(q, n), sig(map(int, s), n), Level.STRONG)
     assert report.passed, report.summary()
 
 
-def test_verify_gf16_cubic_residue_strong():
-    # GF(16) with {x, y} coloured by the cubic class of x + y
-    add, mul = _field_tables(16)
-    col = cyclic_log_colouring(16, lambda x, y: mul[x][y],
-                               lambda x, y: add[x][y])
-    report = verify(col, sig((2, 3), 3), Level.STRONG)
-    assert report.passed, report.summary()
+def test_cayley_translation_invariant_and_symmetric():
+    for add, col in [(zmod(12), Z12_CIRCULANT),
+                     (_field_tables(16)[0], cyclotomic(16, 3))]:
+        assert all(col.colour(add[x][d], add[y][d]) == col.colour(x, y)
+                   for x, y, d in product(range(col.m), repeat=3) if x != y)
+    with pytest.raises(ValueError, match=r"f\[1\] = 1 but f\[-1\] = 2"):
+        cayley(zmod(5), 2, (None, 1, 2, 2, 2))
 
 
 def test_gallai_k5_not_strong_12():
@@ -441,8 +427,7 @@ def test_canonical_form_single_colour():
 
 
 def test_canonical_form_colour_swap():
-    swapped = EdgeColouring.from_function(
-        5, 2, lambda i, j: 3 - pentagon().colour(i, j))
+    swapped = cayley(zmod(5), 2, (None, 2, 1, 1, 2))  # colours swapped
     assert canonical_form(swapped) == canonical_form(pentagon())
 
 
@@ -468,11 +453,11 @@ def blown_up_circulant(rng):
     twins: its automorphisms include the rotations, the reflection and
     every permutation of a twin class."""
     r, b, n = rng.randint(3, 6), rng.randint(1, 3), rng.randint(2, 4)
-    # dist[d] colours the pairs at distance d in Z_r; dist[0] the twins
+    # dist[k] colours the differences (x, y) in Z_r x Z_b with
+    # min(x, r - x) = k: the pairs at distance k in Z_r; dist[0] the twins
     dist = [rng.randint(1, n) for _ in range(r // 2 + 1)]
-    return EdgeColouring.from_function(
-        r * b, n, lambda i, j: dist[min((i // b - j // b) % r,
-                                        (j // b - i // b) % r)])
+    return cayley(zmod(r, b), n, [dist[min(d // b, r - d // b)]
+                                  for d in range(r * b)])
 
 
 def test_canonical_form_vertex_relabelling_invariant():
@@ -592,10 +577,8 @@ def test_is_canonical_matches_canonical_form():
 def test_is_canonical_on_relabellings():
     # a relabelling passes exactly when it is the canonical form
     rng = random.Random(29)
-    z13 = cyclic_log_colouring(13, lambda x, y: x * y % 13,
-                               lambda x, y: (y - x) % 13)
     for col in [pentagon(), construct(sig((1, 3), 4), Level.STRONG),
-                walecki(4), z13]:
+                walecki(4), cyclotomic(13, 3)]:
         canon = canonical_form(col)
         assert _is_canonical(colour_rows(canon.m, canon.colours))
         for _ in range(8):

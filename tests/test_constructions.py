@@ -11,6 +11,7 @@ from chromarep.constructions import (RULES, DelegatedToSearch,
                                      NotConstructible, chain_colouring, construct, pentagon,
                                      single_colour, walecki, walecki_witness,
                                      wrap_colour)
+from chromarep.geometry import cyclotomic
 
 ALL_S = [(), (1,), (2,), (3,), (1, 2), (1, 3), (2, 3), (1, 2, 3)]
 
@@ -30,9 +31,8 @@ def test_wrap_colour():
 def test_single_colour_and_pentagon():
     assert single_colour(3).colours == (1, 1, 1)
     p = pentagon()
-    assert p.m == 5 and p.n == 2
-    assert p.colour(0, 1) == 1 and p.colour(0, 2) == 2
-    assert verify(p, sig((2,), 2), Level.STRONG).passed
+    assert (p.m, p.n, p.colours) == (5, 2, (1, 2, 1, 2, 2, 1, 1, 2, 2, 1))
+    assert cyclotomic(5, 2) == p
 
 
 def test_chain_colouring():

@@ -15,11 +15,9 @@ The cases:
   as built and under seeded vertex and colour relabellings (the
   ``relabel`` helper of tests/test_colouring.py);
 - ``single_colour(9)``, the one-colour K_9;
-- ``cyclotomic(p)``: Z_p with {x, y} coloured by (log_g(y - x) mod n) + 1,
-  g the least primitive root mod p and p = 1 (mod 2n), so -1 = g^((p-1)/2)
-  has an exponent divisible by n and the colour is symmetric.  The (p, n)
-  are the strong {2,3} colourings at n = 4, 5, 6 (p = 41, 71, 97) and the
-  strong {1,2,3} ones at n = 4, 5, 6 (p = 73, 131, 181);
+- ``cyclotomic(p)``: ``geometry.cyclotomic(p, n)``, the strong {2,3}
+  colourings at n = 4, 5, 6 (p = 41, 71, 97) and the strong {1,2,3} ones
+  at n = 4, 5, 6 (p = 73, 131, 181);
 - ``random2(30)``: K_30 with each edge coloured 1 or 2 by a seeded random
   generator, a rigid input whose search cannot lean on automorphisms.
 """
@@ -49,6 +47,7 @@ def build(case):
     from chromarep.algebra import Signature
     from chromarep.colouring import EdgeColouring, Level
     from chromarep.constructions import construct, single_colour
+    from chromarep.geometry import cyclotomic
 
     if case.startswith("AG"):
         q = int(case[5])
@@ -60,13 +59,7 @@ def build(case):
         return EdgeColouring(30, 2, tuple(rng.randint(1, 2)
                                           for _ in range(30 * 29 // 2)))
     p = int(case[len("cyclotomic("):-1])
-    n = CYCLOTOMIC[p]
-    g = next(g for g in range(2, p)
-             if all(pow(g, (p - 1) // r, p) != 1
-                    for r in range(2, p) if (p - 1) % r == 0))
-    log = {pow(g, e, p): e for e in range(p - 1)}
-    return EdgeColouring.from_function(
-        p, n, lambda x, y: log[(y - x) % p] % n + 1)
+    return cyclotomic(p, CYCLOTOMIC[p])
 
 
 def run_case(case):
