@@ -248,8 +248,24 @@ def triangle_scan(rows, sig):
     return total, witnesses, {k - 1: v for k, v in first.items()}
 
 
-def unwitnessed(rows, sig):
-    """Yield the strong-level failures of the colour matrix ``rows``.
+def neighbour_masks(rows, n: int) -> list[list[int]]:
+    """``neigh[v][c]``, the bitmask of the vertices w with colour(v, w) = c,
+    for the colour matrix ``rows`` with n colours; v itself sits in colour
+    0.  The search keeps the same masks up to date as it colours edges."""
+    neigh = []
+    for row in rows:
+        masks = [0] * (n + 1)
+        for w, c in enumerate(row):
+            masks[c] |= 1 << w
+        neigh.append(masks)
+    return neigh
+
+
+def unwitnessed(neigh, colours, sig):
+    """Yield the strong-level failures of the colouring of K_m with
+    neighbour masks ``neigh`` (see ``neighbour_masks``) and edge colours
+    ``colours`` in enumeration order; entries past the last edge are not
+    read.
 
     First ``((v, v), (a, a, 0))`` for each vertex v and each colour a it
     is not incident to, then ``((i, j), (a, b, c))`` for each edge {i, j}
@@ -259,24 +275,17 @@ def unwitnessed(rows, sig):
     strong leaves share it.
     """
     n = sig.n
-    # neigh[v][c]: bitmask of the w with colour(v, w) = c (v itself sits in
-    # colour 0)
-    neigh = []
-    for row in rows:
-        masks = [0] * (n + 1)
-        for w, c in enumerate(row):
-            masks[c] |= 1 << w
-        neigh.append(masks)
     for v, masks in enumerate(neigh):
         for a in range(1, n + 1):
             if not masks[a]:
                 yield (v, v), (a, a, 0)
     pairs = witness_pairs(sig)
-    for j in range(1, len(rows)):
-        row_j, neigh_j = rows[j], neigh[j]
+    colours = iter(colours)
+    for j in range(1, len(neigh)):
+        neigh_j = neigh[j]
         for i in range(j):
             neigh_i = neigh[i]
-            c = row_j[i]
+            c = next(colours)
             for a, b in pairs[c]:
                 if not neigh_i[a] & neigh_j[b]:
                     yield (i, j), (a, b, c)
@@ -304,7 +313,8 @@ def verify(col: EdgeColouring, sig, level: Level) -> VerificationReport:
             t for k, t in enumerate(required_multisets(sig)) if k not in realized]
 
     if level is Level.STRONG:
-        for failure in unwitnessed(rows, sig):
+        for failure in unwitnessed(neighbour_masks(rows, sig.n),
+                                   col.colours, sig):
             report.strong_total += 1
             if len(report.strong_failures) < MAX_WITNESSES:
                 report.strong_failures.append(failure)

@@ -193,12 +193,16 @@ def _field_tables(q: int):
 
     Element a is the polynomial whose coefficients are the base-p digits of
     a.  Products are reduced by the first monic degree-k modulus (lower
-    coefficients counted up in base p) that leaves no zero divisors.
+    coefficients counted up in base p) that leaves no zero divisors.  For a
+    prime q (k = 1) that is arithmetic mod q, built directly.
     """
     pk = prime_power(q)
     if pk is None:
         raise ValueError(f"{q} is not a prime power")
     p, k = pk
+    if k == 1:
+        return (tuple(tuple((a + b) % q for b in range(q)) for a in range(q)),
+                tuple(tuple(a * b % q for b in range(q)) for a in range(q)))
 
     def digits(a):
         return [a // p ** i % p for i in range(k)]

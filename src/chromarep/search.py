@@ -109,6 +109,13 @@ def _search_m(sig: Signature, level: Level, m: int, budget: _Budget, *,
     and ``first_bits[idx]``, the multisets its triangles realised first; so
     undoing a colour is one assignment and one xor.
 
+    At the strong level the kernel also keeps ``neigh[v][c]``, the bitmask
+    of the vertices w with colour(v, w) = c (v itself in colour 0), as
+    ``neighbour_masks`` would build it from the colours stored so far:
+    storing colour c at edge (i, j) sets two bits and undoing it clears
+    them.  A strong leaf hands these masks to ``unwitnessed`` and is dropped
+    at its first failure; no colour matrix is built for it.
+
     With ``orderly``, the bound also fails position comb(j, 2), the first
     edge of column j or the leaf, unless the colouring of vertices 0..j-1 is
     its own canonical form; then the solutions yielded are exactly the
@@ -133,6 +140,10 @@ def _search_m(sig: Signature, level: Level, m: int, budget: _Budget, *,
     prefixes = {comb(j, 2): j for j in range(3, m + 1)}
 
     colours, entry_used, first_bits = [[0] * (total + 1) for _ in range(3)]
+    if strong:
+        neigh = [[1 << v] + [0] * n for v in range(m)]
+        # per position: the endpoints' masks, each with the other's bit
+        ends = [(neigh[i], 1 << j, neigh[j], 1 << i) for i, j in edges]
     # bit k of realised is set once a triangle realises multiset k; the
     # feeble level needs none, so there every bit counts as set from the start
     missing, realised = ((0, -1) if level is Level.FEEBLE
@@ -142,12 +153,16 @@ def _search_m(sig: Signature, level: Level, m: int, budget: _Budget, *,
         c = colours[idx]
         if c:  # undo the colour tried last
             used = entry_used[idx]
+            if strong:
+                masks_i, bit_j, masks_j, bit_i = ends[idx]
+                masks_i[c] ^= bit_j
+                masks_j[c] ^= bit_i
             if new := first_bits[idx]:
                 realised ^= new
                 missing += new.bit_count()
         elif (used + (total - idx) < n or missing > remaining_triangles[idx]
               or strong and idx == total
-              and any(unwitnessed(colour_rows(m, colours), sig))
+              and any(unwitnessed(neigh, colours, sig))
               or orderly and idx in prefixes
               and not _is_canonical(colour_rows(prefixes[idx], colours))):
             # the one bound: surjectivity, the missing multisets, a strong
@@ -181,6 +196,10 @@ def _search_m(sig: Signature, level: Level, m: int, budget: _Budget, *,
             continue
         budget.tick()
         colours[idx] = c
+        if strong:
+            masks_i, bit_j, masks_j, bit_i = ends[idx]
+            masks_i[c] |= bit_j
+            masks_j[c] |= bit_i
         if c > used:
             used = c
         if new := got & ~realised:

@@ -14,8 +14,9 @@ from chromarep.algebra import (MAX_WITNESSES, Signature, required_multisets,
 from chromarep.colouring import (DOT_PALETTE, EdgeColouring, Level,
                                  _is_canonical, are_isomorphic, canonical_form,
                                  cayley, chromatic_degree, classify_triangle,
-                                 colour_rows, edge_index, edge_list, saturate,
-                                 unwitnessed, verify)
+                                 colour_rows, edge_index, edge_list,
+                                 neighbour_masks, saturate, unwitnessed,
+                                 verify)
 from chromarep.constructions import (chain_colouring, construct, pentagon,
                                      single_colour, walecki)
 from chromarep.geometry import _field_tables, cyclotomic
@@ -245,7 +246,8 @@ def test_unwitnessed_matches_verify(s, n, m):
     # must agree on which colourings have a strong failure, and on the
     # failures verify lists
     for colours in product(range(1, n + 1), repeat=m * (m - 1) // 2):
-        failures = list(unwitnessed(colour_rows(m, colours), sig(s, n)))
+        neigh = neighbour_masks(colour_rows(m, colours), n)
+        failures = list(unwitnessed(neigh, colours, sig(s, n)))
         report = verify(EdgeColouring(m, n, colours), sig(s, n), Level.STRONG)
         assert (not failures) == (report.strong_total == 0), colours
         assert failures[:MAX_WITNESSES] == report.strong_failures, colours

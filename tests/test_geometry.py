@@ -6,8 +6,8 @@ import pytest
 
 from chromarep.algebra import Signature
 from chromarep.colouring import EdgeColouring, Level, verify
-from chromarep.geometry import (LinearSpace, Parallelism, affine_plane,
-                                check_ls4, check_ls5,
+from chromarep.geometry import (LinearSpace, Parallelism, _field_tables,
+                                affine_plane, check_ls4, check_ls5,
                                 colouring_from_parallelism, drop_points,
                                 linear_space_from_colouring, near_pencil,
                                 prime_power, same_space, validate_parallelism,
@@ -141,6 +141,13 @@ def test_affine_plane_counts():
     for q in (6, 12):
         with pytest.raises(ValueError):
             affine_plane(q)
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7, 11, 13])
+def test_prime_field_tables_are_modular(q):
+    add, mul = _field_tables(q)
+    assert add == tuple(tuple((a + b) % q for b in range(q)) for a in range(q))
+    assert mul == tuple(tuple(a * b % q for b in range(q)) for a in range(q))
 
 
 def test_affine_plane_2_is_k4_matchings():

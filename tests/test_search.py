@@ -8,7 +8,8 @@ import pytest
 from chromarep.algebra import Signature
 from chromarep.cli import certify_summary_row
 from chromarep.colouring import (EdgeColouring, Level, VerificationReport,
-                                 canonical_form, colour_rows, verify)
+                                 canonical_form, colour_rows, neighbour_masks,
+                                 verify)
 from chromarep.constructions import pentagon
 from chromarep.search import (_Budget, _search_m, default_m_range,
                               enumerate_representations, search)
@@ -197,6 +198,31 @@ def test_strong_leaf_tests_witnesses_before_canonical(monkeypatch):
     leaves = list(_search_m(sig((2, 3), 3), Level.STRONG, 6, _Budget(None),
                             orderly=True))
     assert (len(leaves), len(calls)) == (0, 378)
+
+
+@pytest.mark.parametrize("run", [
+    lambda: list(_search_m(sig((2, 3), 3), Level.STRONG, 6, _Budget(None),
+                           orderly=True)),
+    lambda: search(sig((2, 3), 3), Level.STRONG, m_range=(2, 6),
+                   node_budget=10000),
+    lambda: search(sig((1, 2), 2), Level.STRONG, m_range=(2, 6)),
+], ids=["23-n3-m6-orderly", "23-n3-budgeted", "12-n2"])
+def test_strong_leaf_masks_match_colours(monkeypatch, run):
+    # the kernel keeps its neighbour masks by setting and clearing bits as
+    # it stores and undoes colours; at every strong leaf they must be the
+    # masks of the colours stored there
+    module = importlib.import_module("chromarep.search")
+    real, leaves = module.unwitnessed, []
+
+    def checked(neigh, colours, sig):
+        m = len(neigh)
+        assert neigh == neighbour_masks(colour_rows(m, colours), sig.n)
+        leaves.append(m)
+        return real(neigh, colours, sig)
+
+    monkeypatch.setattr(module, "unwitnessed", checked)
+    run()
+    assert leaves
 
 
 def test_enumerate_m7_class_count():
