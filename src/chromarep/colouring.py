@@ -390,7 +390,7 @@ def _is_canonical(rows) -> bool:
         is not None
 
 
-def _least_code(rows, bound=None):
+def _least_code(rows, bound=None, target=None):
     """The least code of the colour matrix ``rows``, as a list of rows.
 
     Given ``bound``, the code of some ordering, the search keeps only
@@ -399,6 +399,13 @@ def _least_code(rows, bound=None):
     and the first one plays the part of the best leaf: it was reached
     first, as a best leaf is, so the automorphisms and backjumps that later
     leaves give stay sound.
+
+    Given ``target``, the least code of some colouring, the search runs
+    as without it but returns its best code as soon as that is at or below
+    ``target``.  The result equals ``target`` exactly when the least code
+    does: a code equal to ``target`` makes this colouring a relabelling of
+    that one, so their least codes agree, and a code below ``target`` puts
+    the least code below it too.
     """
     m = len(rows)
 
@@ -462,6 +469,8 @@ def _least_code(rows, bound=None):
             # the first leaf under a bound has the bound's code
             if not tight or best_order is None:
                 best_order, best_code = order[:], code[:]
+                if target is not None and best_code <= target:
+                    return -1  # settled: unwinds the whole search
                 return m
             g = [0] * m
             for b, v in zip(best_order, order):
@@ -498,7 +507,7 @@ def _least_code(rows, bound=None):
             orbit |= orbit_of([v], fixing)
         return m
 
-    if dfs(bound is not None, {}) < 0:
+    if dfs(bound is not None, {}) < 0 and bound is not None:
         return None
     return best_code
 
@@ -506,13 +515,18 @@ def _least_code(rows, bound=None):
 def are_isomorphic(a: EdgeColouring, b: EdgeColouring) -> bool:
     """Whether a vertex and a colour permutation carry ``a`` onto ``b``.
 
-    The sorted colour-class sizes are compared first.  Canonical forms,
-    which can cost as much as a maximum clique on rigid inputs, are
-    compared only when those agree.
+    The sorted colour-class sizes are compared first.  Only when those
+    agree is the least code searched for, which can cost as much as a
+    maximum clique on rigid inputs: ``a``'s in full, as its canonical
+    form, and then ``b``'s with ``a``'s as the target, a search that stops
+    at its first code at or below that target.
     """
     if a.m != b.m or a.n != b.n:
         return False
     if sorted(Counter(a.colours).values()) \
             != sorted(Counter(b.colours).values()):
         return False
-    return canonical_form(a).colours == canonical_form(b).colours
+    form = canonical_form(a).colours
+    target = [list(form[k * (k - 1) // 2:k * (k + 1) // 2])
+              for k in range(a.m)]
+    return _least_code(colour_rows(b.m, b.colours), target=target) == target

@@ -192,9 +192,10 @@ def _field_tables(q: int):
     """Addition and multiplication tables of GF(q), q = p**k.
 
     Element a is the polynomial whose coefficients are the base-p digits of
-    a.  Products are reduced by the first monic degree-k modulus (lower
-    coefficients counted up in base p) that leaves no zero divisors.  For a
-    prime q (k = 1) that is arithmetic mod q, built directly.
+    a.  Products are reduced by the first irreducible monic degree-k
+    modulus, lower coefficients counted up in base p: the first that
+    leaves no zero divisors.  For a prime q (k = 1) that is arithmetic mod
+    q, built directly.
     """
     pk = prime_power(q)
     if pk is None:
@@ -204,30 +205,43 @@ def _field_tables(q: int):
         return (tuple(tuple((a + b) % q for b in range(q)) for a in range(q)),
                 tuple(tuple(a * b % q for b in range(q)) for a in range(q)))
 
-    def digits(a):
-        return [a // p ** i % p for i in range(k)]
+    def digits(a, length=k):
+        return [a // p ** i % p for i in range(length)]
 
     def number(coeffs):
         return sum(c % p * p ** i for i, c in enumerate(coeffs))
 
-    def times(a, b, modulus):
-        prod = [0] * (2 * k - 1)
-        for i, x in enumerate(digits(a)):
-            for j, y in enumerate(digits(b)):
-                prod[i + j] += x * y
-        for top in range(2 * k - 2, k - 1, -1):  # x^k = -(modulus - x^k)
-            for i, c in enumerate(modulus):
-                prod[top - k + i] -= prod[top] * c
-        return number(prod[:k])
+    def divides(g, f):
+        """Whether the monic g divides f, coefficients lowest first."""
+        f, d = f[:], len(g) - 1
+        for top in range(len(f) - 1, d - 1, -1):
+            c = f[top]
+            for i, x in enumerate(g):
+                f[top - d + i] = (f[top - d + i] - c * x) % p
+        return not any(f[:d])
 
+    def irreducible(f):
+        """Whether the monic f of degree k has no monic factor of degree 1
+        to k/2, as every reducible one has."""
+        return not any(divides(digits(n, d) + [1], f)
+                       for d in range(1, k // 2 + 1) for n in range(p ** d))
+
+    modulus = next(digits(n) for n in range(q) if irreducible(digits(n) + [1]))
     add = tuple(tuple(number(x + y for x, y in zip(digits(a), digits(b)))
                       for b in range(q)) for a in range(q))
-    for low in range(q):
-        mul = tuple(tuple(times(a, b, digits(low)) for b in range(q))
-                    for a in range(q))
-        if all(mul[a][b] for a in range(1, q) for b in range(1, q)):
-            return add, mul
-    raise AssertionError(f"no irreducible modulus of degree {k} over Z_{p}")
+    # a * x: the digits move up one place and x^k = -(modulus - x^k)
+    times_x = [number([x - a // p ** (k - 1) * c for x, c in
+                       zip([0, *digits(a)[:-1]], modulus)])
+               for a in range(q)]
+    mul = []
+    for a in range(q):
+        # b = x * (b // p) + b % p, and both parts come before b
+        row = [0]
+        for b in range(1, q):
+            row.append(add[row[b - 1]][a] if b < p
+                       else add[times_x[row[b // p]]][row[b % p]])
+        mul.append(tuple(row))
+    return add, tuple(mul)
 
 
 def cyclotomic(q: int, n: int) -> EdgeColouring:

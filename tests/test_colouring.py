@@ -624,11 +624,55 @@ def test_are_isomorphic_matches_canonical_forms():
                 assert are_isomorphic(col, rep) == (canon[col] == form), col
 
 
-def test_are_isomorphic_refutes_by_class_sizes(monkeypatch):
-    def refuse(col):
-        raise AssertionError("canonical_form called")
+def test_are_isomorphic_agrees_with_canonical_forms_on_seeded_pairs():
+    # each random colouring against a relabelling, which is isomorphic, and
+    # a shuffle of its colour tuple, which keeps the class sizes but mostly
+    # is not
+    rng = random.Random(28)
+    pairs = []
+    for _ in range(300):
+        m, n = rng.randint(2, 9), rng.randint(1, 4)
+        a = EdgeColouring(m, n, tuple(rng.randint(1, n)
+                                      for _ in range(m * (m - 1) // 2)))
+        shuffled = list(a.colours)
+        rng.shuffle(shuffled)
+        pairs += [(a, relabel(a, rng)),
+                  (a, EdgeColouring(m, n, tuple(shuffled)))]
+    for col in (construct(sig((1, 3), 6), Level.STRONG),    # AG(2, 5)
+                walecki(6), lambda2(standard_qn(9))):
+        pairs.append((col, relabel(col, rng)))
+    verdicts = set()
+    for a, b in pairs:
+        same = canonical_form(a).colours == canonical_form(b).colours
+        assert are_isomorphic(a, b) == same, (a, b)
+        verdicts.add(same)
+    assert verdicts == {False, True}
 
-    monkeypatch.setattr("chromarep.colouring.canonical_form", refuse)
+
+def test_are_isomorphic_searches_once_then_to_target(monkeypatch):
+    from chromarep import colouring
+
+    searches = []
+    least_code = colouring._least_code
+
+    def counting(rows, bound=None, target=None):
+        searches.append((bound, target))
+        return least_code(rows, bound, target)
+
+    monkeypatch.setattr(colouring, "_least_code", counting)
+    col = construct(sig((1, 3), 6), Level.STRONG)            # AG(2, 5)
+    assert are_isomorphic(col, relabel(col, random.Random(3)))
+    # one untargeted search (a's canonical form), then one targeted (b's)
+    assert [(bound, target is not None) for bound, target in searches] \
+        == [(None, False), (None, True)]
+
+
+def test_are_isomorphic_refutes_by_class_sizes(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("least-code search called")
+
+    # both sides' searches go through _least_code
+    monkeypatch.setattr("chromarep.colouring._least_code", refuse)
     # equal m and n, different colour-class sizes
     a, b = chain_colouring(9), lambda2(standard_qn(9))
     assert (a.m, a.n) == (b.m, b.n)

@@ -150,6 +150,42 @@ def test_prime_field_tables_are_modular(q):
     assert mul == tuple(tuple(a * b % q for b in range(q)) for a in range(q))
 
 
+def reference_field_tables(q):
+    """GF(q), q = p**k with k > 1, by per-entry polynomial arithmetic: the
+    first monic degree-k modulus, lower coefficients counted up in base p,
+    whose full multiplication table has no zero divisor."""
+    p, k = prime_power(q)
+
+    def digits(a):
+        return [a // p ** i % p for i in range(k)]
+
+    def number(coeffs):
+        return sum(c % p * p ** i for i, c in enumerate(coeffs))
+
+    def times(a, b, modulus):
+        prod = [0] * (2 * k - 1)
+        for i, x in enumerate(digits(a)):
+            for j, y in enumerate(digits(b)):
+                prod[i + j] += x * y
+        for top in range(2 * k - 2, k - 1, -1):  # x^k = -(modulus - x^k)
+            for i, c in enumerate(modulus):
+                prod[top - k + i] -= prod[top] * c
+        return number(prod[:k])
+
+    add = tuple(tuple(number(x + y for x, y in zip(digits(a), digits(b)))
+                      for b in range(q)) for a in range(q))
+    for low in range(q):
+        mul = tuple(tuple(times(a, b, digits(low)) for b in range(q))
+                    for a in range(q))
+        if all(mul[a][b] for a in range(1, q) for b in range(1, q)):
+            return add, mul
+
+
+@pytest.mark.parametrize("q", [4, 8, 9, 16, 25, 27, 32])
+def test_prime_power_field_tables_match_reference(q):
+    assert _field_tables(q) == reference_field_tables(q)
+
+
 def test_affine_plane_2_is_k4_matchings():
     col = colouring_from_parallelism(*affine_plane(2))
     assert col.m == 4 and col.n == 3

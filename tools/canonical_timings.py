@@ -1,15 +1,16 @@
 #!/usr/bin/env python3
-"""Time ``canonical_form`` on the large symmetric colourings.
+"""Time ``canonical_form`` and ``are_isomorphic`` on large colourings.
 
     python3 tools/canonical_timings.py [--src DIR]
 
 Each case runs in a fresh process on the chromarep sources under DIR
 (default: this checkout's ``src``), limited to TIMEOUT_S seconds and
 MEMORY_MB MB of address space, and the script prints one JSON object: per
-case the seconds of each ``canonical_form`` call, the process's peak RSS,
-or why it did not finish.  It exits 1 if any case failed, ran out of time
-or memory, or gave different forms for its relabellings, and 0 otherwise.
-The cases:
+case the seconds of each ``canonical_form`` or ``are_isomorphic`` call,
+the process's peak RSS, or why it did not finish.  It exits 1 if any case
+failed, ran out of time or memory, gave different forms for its
+relabellings or a wrong isomorphism verdict, and 0 otherwise.  The
+``canonical_form`` cases:
 
 - ``AG(2,q)`` for q = 5, 7: ``construct(Signature({1,3}, q+1), STRONG)``,
   as built and under seeded vertex and colour relabellings (the
@@ -20,6 +21,14 @@ The cases:
   at n = 4, 5, 6 (p = 73, 131, 181);
 - ``random2(30)``: K_30 with each edge coloured 1 or 2 by a seeded random
   generator, a rigid input whose search cannot lean on automorphisms.
+
+The ``are_isomorphic`` cases, one call each:
+
+- ``are_isomorphic(random2(30))`` and ``are_isomorphic(AG(2,7))``: the
+  colouring against a seeded relabelling, verdict True;
+- ``are_isomorphic(random2(30), swap)``: ``random2(30)`` against itself
+  with its first edges of colours 1 and 2 swapped, which keeps the
+  colour-class sizes; verdict False.
 """
 
 from __future__ import annotations
@@ -38,8 +47,13 @@ ROOT = Path(__file__).resolve().parents[1]
 TIMEOUT_S = 300
 MEMORY_MB = 2048
 CYCLOTOMIC = {41: 4, 71: 5, 97: 6, 73: 4, 131: 5, 181: 6}
+# are_isomorphic case: (colouring, whether its partner is a relabelling)
+ISOMORPHISM = {"are_isomorphic(random2(30))": ("random2(30)", True),
+               "are_isomorphic(AG(2,7))": ("AG(2,7)", True),
+               "are_isomorphic(random2(30), swap)": ("random2(30)", False)}
 CASES = ("AG(2,5)", "AG(2,7)", "single_colour(9)",
-         *(f"cyclotomic({p})" for p in CYCLOTOMIC), "random2(30)")
+         *(f"cyclotomic({p})" for p in CYCLOTOMIC), "random2(30)",
+         *ISOMORPHISM)
 RELABELLINGS = {"AG(2,5)": 8, "AG(2,7)": 16}
 
 
@@ -60,6 +74,35 @@ def build(case):
                                           for _ in range(30 * 29 // 2)))
     p = int(case[len("cyclotomic("):-1])
     return cyclotomic(p, CYCLOTOMIC[p])
+
+
+def swap_first_edges(col):
+    """``col`` with its first edges of colours 1 and 2 swapped."""
+    from chromarep.colouring import EdgeColouring
+
+    colours = list(col.colours)
+    i, j = colours.index(1), colours.index(2)
+    colours[i], colours[j] = colours[j], colours[i]
+    return EdgeColouring(col.m, col.n, tuple(colours))
+
+
+def run_isomorphism(case):
+    """Child process: print the seconds of one are_isomorphic call."""
+    from chromarep.colouring import are_isomorphic
+    from test_colouring import relabel
+
+    base, expected = ISOMORPHISM[case]
+    col = build(base)
+    other = relabel(col, random.Random(7)) if expected \
+        else swap_first_edges(col)
+    start = time.perf_counter()
+    verdict = are_isomorphic(col, other)
+    seconds = round(time.perf_counter() - start, 4)
+    if verdict is not expected:
+        raise SystemExit(f"{case}: verdict {verdict}, want {expected}")
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    print(json.dumps({"m": col.m, "seconds": [seconds], "verdict": verdict,
+                      "peak_rss_mb": round(peak, 1)}))
 
 
 def run_case(case):
@@ -93,7 +136,7 @@ def main(argv=None):
     args = p.parse_args(argv)
     if args.case:
         sys.path[:0] = [args.src, str(ROOT / "tests")]
-        run_case(args.case)
+        (run_isomorphism if args.case in ISOMORPHISM else run_case)(args.case)
         return
     limit = MEMORY_MB * 2 ** 20
 
