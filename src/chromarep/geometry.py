@@ -192,61 +192,50 @@ def _field_tables(q: int):
     """Addition and multiplication tables of GF(q), q = p**k.
 
     Element a is the polynomial whose coefficients are the base-p digits of
-    a.  Products are reduced by the first irreducible monic degree-k
-    modulus, lower coefficients counted up in base p: the first that
-    leaves no zero divisors.  For a prime q (k = 1) that is arithmetic mod
-    q, built directly.
+    a.  Products are reduced by the first monic degree-k modulus, lower
+    coefficients counted up in base p, that leaves no zero divisors: the
+    first irreducible one, so for a prime q (k = 1) arithmetic mod q.
     """
     pk = prime_power(q)
     if pk is None:
         raise ValueError(f"{q} is not a prime power")
-    p, k = pk
-    if k == 1:
-        return (tuple(tuple((a + b) % q for b in range(q)) for a in range(q)),
-                tuple(tuple(a * b % q for b in range(q)) for a in range(q)))
-
-    def digits(a, length=k):
-        return [a // p ** i % p for i in range(length)]
-
-    def number(coeffs):
-        return sum(c % p * p ** i for i, c in enumerate(coeffs))
-
-    def divides(g, f):
-        """Whether the monic g divides f, coefficients lowest first."""
-        f, d = f[:], len(g) - 1
-        for top in range(len(f) - 1, d - 1, -1):
-            c = f[top]
-            for i, x in enumerate(g):
-                f[top - d + i] = (f[top - d + i] - c * x) % p
-        return not any(f[:d])
-
-    def irreducible(f):
-        """Whether the monic f of degree k has no monic factor of degree 1
-        to k/2, as every reducible one has."""
-        return not any(divides(digits(n, d) + [1], f)
-                       for d in range(1, k // 2 + 1) for n in range(p ** d))
-
-    modulus = next(digits(n) for n in range(q) if irreducible(digits(n) + [1]))
-    add = tuple(tuple(number(x + y for x, y in zip(digits(a), digits(b)))
-                      for b in range(q)) for a in range(q))
-    # a * x: the digits move up one place and x^k = -(modulus - x^k)
-    times_x = [number([x - a // p ** (k - 1) * c for x, c in
-                       zip([0, *digits(a)[:-1]], modulus)])
-               for a in range(q)]
-    mul = []
-    for a in range(q):
-        # b = x * (b // p) + b % p, and both parts come before b
-        row = [0]
-        for b in range(1, q):
-            row.append(add[row[b - 1]][a] if b < p
-                       else add[times_x[row[b // p]]][row[b % p]])
-        mul.append(tuple(row))
-    return add, tuple(mul)
+    p = pk[0]
+    top = q // p  # the place value of the top digit
+    # a + b digit by digit: the last digits add mod p, and the others as in
+    # row a // p, since b = p * (b // p) + b % p
+    add = [tuple(range(q))]
+    for a in range(1, q):
+        last = [*range(a % p, p), *range(a % p)]  # (a + d) % p for d < p
+        add.append(tuple(p * high + d for high in add[a // p][:top]
+                         for d in last))
+    for low in range(q):
+        # c * -(modulus - x^k) for each digit c
+        minus, neg = [0], add[low].index(0)
+        for _ in range(1, p):
+            minus.append(add[minus[-1]][neg])
+        # a * x: the digits move up one place and x^k = -(modulus - x^k)
+        times_x = [add[a % top * p][minus[a // top]] for a in range(q)]
+        mul = [(0,) * q]
+        for a in range(1, q):
+            row = [0]
+            for _ in range(1, p):  # a * b for the digits b
+                row.append(add[row[-1]][a])
+            # b = x * (b // p) + b % p, and both parts come before b: the
+            # block b // p = j is x * (a * j) plus each of the first p
+            for j in range(1, top):
+                row += map(add[times_x[row[j]]].__getitem__, row[:p])
+            if 0 in row[1:]:  # a zero divisor: the modulus is reducible
+                break
+            mul.append(tuple(row))
+        else:
+            return tuple(add), tuple(mul)
 
 
 def cyclotomic(q: int, n: int) -> EdgeColouring:
     """``cayley`` over GF(q) with f[d] = (log_g d mod n) + 1, g the least
     primitive element (Comer 1983); symmetric if q is even or 2n | q - 1."""
+    if n < 1:
+        raise ValueError(f"need at least one colour, not n = {n}")
     add, mul = _field_tables(q)
     for g in range(1, q):
         log, x = {}, 1

@@ -5,8 +5,8 @@ criterion states them."""
 import time
 from itertools import combinations
 
-from chromarep.algebra import Signature, chromatic_atoms, \
-    check_na_atom_structure, compose, is_associative
+from chromarep.algebra import (check_na_atom_structure, chromatic_atoms,
+                               compose, is_associative)
 from chromarep.cli import certify_summary_row
 from chromarep.colouring import (EdgeColouring, Level, canonical_form,
                                  verify)
@@ -20,9 +20,7 @@ from chromarep.quasigroup import (lambda1, lambda2,
                                   validate)
 from chromarep.search import enumerate_representations, search
 
-
-def sig(s, n):
-    return Signature(frozenset(s), n)
+from helpers import ALL_S, sig
 
 
 def test_criterion_01_quasigroup_family():
@@ -138,8 +136,7 @@ def test_criterion_07_round_trips():
 
 
 def test_criterion_08_algebra_layer():
-    all_s = [(), (1,), (2,), (3,), (1, 2), (1, 3), (2, 3), (1, 2, 3)]
-    for s in all_s:
+    for s in ALL_S:
         for n in range(1, 9):
             assert check_na_atom_structure(chromatic_atoms(sig(s, n))).valid
 
@@ -165,7 +162,7 @@ def test_criterion_08_algebra_layer():
             return 0 if i != j else 1 | ai
         return 0 if i != j else 1
 
-    for s in all_s:
+    for s in ALL_S:
         for n in range(1, 7):
             st = chromatic_atoms(sig(s, n))
             for i in range(1, n + 1):
@@ -193,8 +190,7 @@ def test_criterion_08_algebra_layer():
 
 
 def test_criterion_09_monotonicity_sweep():
-    all_s = [frozenset(s) for s in
-             [(), (1,), (2,), (3,), (1, 2), (1, 3), (2, 3), (1, 2, 3)]]
+    all_s = [frozenset(s) for s in ALL_S]
     cases = []
     for m, n in [(4, 2), (4, 3), (5, 2), (5, 3), (6, 3)]:
         e = m * (m - 1) // 2

@@ -11,11 +11,7 @@ from chromarep.algebra import (AtomStructure, Signature, atom_mask,
                                is_associative, peircean_transforms,
                                required_multisets, triangle_table)
 
-ALL_S = [(), (1,), (2,), (3,), (1, 2), (1, 3), (2, 3), (1, 2, 3)]
-
-
-def sig(s, n):
-    return Signature(frozenset(s), n)
+from helpers import ALL_S, sig
 
 
 def test_signature_validation():

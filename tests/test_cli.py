@@ -81,7 +81,15 @@ def test_verify_pass_and_fail(tmp_path):
     assert code == 0 and "pass" in out
     code, out = run_cli("verify", "--s", "2,3", "--n", "3",
                         "--level", "strong", "--in", str(target))
-    assert code == 2 and "FAIL" in out
+    assert code == 2
+    assert out.strip() == "strong: FAIL (66 unwitnessed edge/triple pair(s))"
+    # AG(2,3), built and re-read through a file
+    plane = tmp_path / "ag3.json"
+    run_cli("construct", "--s", "1,3", "--n", "4", "--level", "strong",
+            "--out", str(plane))
+    code, out = run_cli("verify", "--s", "1,3", "--n", "4",
+                        "--level", "strong", "--in", str(plane))
+    assert code == 0 and out.strip() == "strong: pass"
     # one colour on K_3: every part of the failure summary
     mono = tmp_path / "mono.json"
     mono.write_text(json.dumps({"vertices": 3, "colours": 2,

@@ -9,8 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from chromarep.algebra import (MAX_WITNESSES, Signature, required_multisets,
-                               triangle_table)
+from chromarep.algebra import MAX_WITNESSES, required_multisets, triangle_table
 from chromarep.colouring import (DOT_PALETTE, EdgeColouring, Level,
                                  _is_canonical, are_isomorphic, canonical_form,
                                  cayley, chromatic_degree, classify_triangle,
@@ -22,9 +21,7 @@ from chromarep.constructions import (chain_colouring, construct, pentagon,
 from chromarep.geometry import _field_tables, cyclotomic
 from chromarep.quasigroup import lambda1, lambda2, standard_qn
 
-
-def sig(s, n):
-    return Signature(frozenset(s), n)
+from helpers import relabel, sig
 
 
 def zmod(r, b=1):
@@ -438,16 +435,6 @@ def test_canonical_form_idempotent_and_isomorphic():
     canon = canonical_form(col)
     assert canonical_form(canon) == canon
     assert are_isomorphic(col, canon)
-
-
-def relabel(col, rng):
-    """The colouring under a seeded vertex and colour permutation."""
-    vertices, colours = list(range(col.m)), list(range(1, col.n + 1))
-    rng.shuffle(vertices)
-    rng.shuffle(colours)
-    return EdgeColouring.from_function(
-        col.m, col.n,
-        lambda i, j: colours[col.colour(vertices[i], vertices[j]) - 1])
 
 
 def blown_up_circulant(rng):

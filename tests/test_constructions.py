@@ -4,7 +4,7 @@ from itertools import combinations
 
 import pytest
 
-from chromarep.algebra import Signature, witness_pairs
+from chromarep.algebra import witness_pairs
 from chromarep.colouring import (EdgeColouring, Level, classify_triangle,
                                  verify)
 from chromarep.constructions import (RULES, DelegatedToSearch,
@@ -13,11 +13,7 @@ from chromarep.constructions import (RULES, DelegatedToSearch,
                                      wrap_colour)
 from chromarep.geometry import cyclotomic
 
-ALL_S = [(), (1,), (2,), (3,), (1, 2), (1, 3), (2, 3), (1, 2, 3)]
-
-
-def sig(s, n):
-    return Signature(frozenset(s), n)
+from helpers import ALL_S, sig
 
 
 def test_wrap_colour():

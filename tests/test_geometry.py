@@ -1,21 +1,16 @@
 """Linear spaces, parallelisms, planes and the deletion construction."""
 
-from itertools import combinations
-
 import pytest
 
-from chromarep.algebra import Signature
 from chromarep.colouring import EdgeColouring, Level, verify
 from chromarep.geometry import (LinearSpace, Parallelism, _field_tables,
                                 affine_plane, check_ls4, check_ls5,
-                                colouring_from_parallelism, drop_points,
-                                linear_space_from_colouring, near_pencil,
-                                prime_power, same_space, validate_parallelism,
-                                validate_space)
+                                colouring_from_parallelism, cyclotomic,
+                                drop_points, linear_space_from_colouring,
+                                near_pencil, prime_power, same_space,
+                                validate_parallelism, validate_space)
 
-
-def sig(s, n):
-    return Signature(frozenset(s), n)
+from helpers import sig
 
 
 def test_prime_power():
@@ -181,7 +176,7 @@ def reference_field_tables(q):
             return add, mul
 
 
-@pytest.mark.parametrize("q", [4, 8, 9, 16, 25, 27, 32])
+@pytest.mark.parametrize("q", [4, 8, 9, 16, 25, 27, 32, 49, 81])
 def test_prime_power_field_tables_match_reference(q):
     assert _field_tables(q) == reference_field_tables(q)
 
@@ -262,6 +257,9 @@ def test_drop_points_rejections():
         drop_points(6, 0)
     with pytest.raises(ValueError, match="below 3"):
         drop_points(2, 0)
+    for n in (0, -1):                               # checked before GF(13)
+        with pytest.raises(ValueError, match="at least one colour"):
+            cyclotomic(13, n)
 
 
 def test_colouring_from_parallelism_near_pencil():

@@ -5,7 +5,6 @@ from itertools import combinations, product
 
 import pytest
 
-from chromarep.algebra import Signature
 from chromarep.cli import certify_summary_row
 from chromarep.colouring import (EdgeColouring, Level, VerificationReport,
                                  canonical_form, colour_rows, neighbour_masks,
@@ -14,9 +13,7 @@ from chromarep.constructions import pentagon
 from chromarep.search import (_Budget, _search_m, default_m_range,
                               enumerate_representations, search)
 
-
-def sig(s, n):
-    return Signature(frozenset(s), n)
+from helpers import sig
 
 
 def test_default_m_range():

@@ -14,7 +14,7 @@ relabellings or a wrong isomorphism verdict, and 0 otherwise.  The
 
 - ``AG(2,q)`` for q = 5, 7: ``construct(Signature({1,3}, q+1), STRONG)``,
   as built and under seeded vertex and colour relabellings (the
-  ``relabel`` helper of tests/test_colouring.py);
+  ``relabel`` helper of tests/helpers.py);
 - ``single_colour(9)``, the one-colour K_9;
 - ``cyclotomic(p)``: ``geometry.cyclotomic(p, n)``, the strong {2,3}
   colourings at n = 4, 5, 6 (p = 41, 71, 97) and the strong {1,2,3} ones
@@ -89,7 +89,7 @@ def swap_first_edges(col):
 def run_isomorphism(case):
     """Child process: print the seconds of one are_isomorphic call."""
     from chromarep.colouring import are_isomorphic
-    from test_colouring import relabel
+    from helpers import relabel
 
     base, expected = ISOMORPHISM[case]
     col = build(base)
@@ -108,13 +108,11 @@ def run_isomorphism(case):
 def run_case(case):
     """Child process: print the seconds of each canonical_form call."""
     from chromarep.colouring import canonical_form
+    from helpers import relabel
 
     col = build(case)
     inputs = [col]
     if case in RELABELLINGS:
-        # imported only here: it loads pytest, about 8 MB of peak RSS
-        from test_colouring import relabel
-
         rng = random.Random(7)
         inputs += [relabel(col, rng) for _ in range(RELABELLINGS[case])]
     seconds, forms = [], set()
