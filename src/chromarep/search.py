@@ -22,7 +22,7 @@ import json
 import time
 from dataclasses import dataclass, field
 from functools import cache
-from math import comb
+from math import comb, inf
 
 from .algebra import Signature, required_multisets, triangle_table
 from .colouring import (EdgeColouring, Level, _is_canonical, canonical_form,
@@ -83,18 +83,39 @@ class _Budget:
         self.node_budget = node_budget
         self.nodes = 0
 
-    def tick(self):
-        self.nodes += 1
-        if self.node_budget is not None and self.nodes > self.node_budget:
-            raise BudgetExceeded
-
 
 @cache
-def _bit_table(sig: Signature) -> tuple:
-    """``triangle_table(sig)`` with entry k + 1 read as the multiset bit
-    ``1 << k``, the form the search's realised-multiset int needs."""
-    return tuple(tuple(tuple(k and 1 << (k - 1) for k in row) for row in plane)
-                 for plane in triangle_table(sig))
+def _pair_table(sig: Signature, width: int) -> tuple:
+    """``table[a][b]``, for proper colours a and b, packs into one int the
+    colours c that make {a, b, c} consistent (bit c, 1..n) and the bit
+    ``1 << k`` of each one's multiset, entry k + 1 of ``triangle_table``
+    (field c: ``width`` bits from bit n + 1 + (c - 1) * width).  Row and
+    column 0 are 0.  Width 0, for the feeble level, holds no multisets, so
+    its (n+1)² entries follow from the count of distinct colours alone."""
+    n, s = sig.n, sig.s_set
+    if width:
+        def packed(col):
+            # set each bit in place: summing shifted ints would copy an
+            # entry of n * width bits n times
+            entry = bytearray((n + 1 + n * width + 7) // 8)
+            for c, k in enumerate(col):
+                if k:
+                    for at in (c, n + k + (c - 1) * width):
+                        entry[at // 8] |= 1 << at % 8
+            return int.from_bytes(entry, "little")
+
+        return tuple(tuple(map(packed, plane))
+                     for plane in triangle_table(sig))
+    every = (2 << n) - 2
+
+    def bits(a, b):
+        # c in {a, b} gives t distinct colours, any other c gives t + 1
+        pair, t = 1 << a | 1 << b, len({a, b})
+        return (pair if t in s else 0) | (every ^ pair if t + 1 in s else 0)
+
+    colours = range(n + 1)
+    return tuple(tuple(a and b and bits(a, b) for b in colours)
+                 for a in colours)
 
 
 def _search_m(sig: Signature, level: Level, m: int, budget: _Budget, *,
@@ -109,6 +130,16 @@ def _search_m(sig: Signature, level: Level, m: int, budget: _Budget, *,
     and ``first_bits[idx]``, the multisets its triangles realised first; so
     undoing a colour is one assignment and one xor.
 
+    Colours come from ``_pair_table``.  On first entering a position, past
+    the bound, one pass over its closures (the triangles {k, i, j} that
+    edge (i, j) completes) ANDs their entries' colour bits into
+    ``allowed[idx]``, stopping once none is left, and ORs their multiset
+    fields into ``fields[idx]``.  Each next colour is the lowest allowed bit
+    left, so colours are tried in ascending order, and its multisets are
+    read from its field.  Nodes are counted in a local, written to
+    ``budget.nodes`` before each yield, before ``BudgetExceeded`` and at
+    the end.
+
     At the strong level the kernel also keeps ``neigh[v][c]``, the bitmask
     of the vertices w with colour(v, w) = c (v itself in colour 0), as
     ``neighbour_masks`` would build it from the colours stored so far:
@@ -122,7 +153,11 @@ def _search_m(sig: Signature, level: Level, m: int, budget: _Budget, *,
     canonical forms of the solutions (see ``enumerate_representations``).
     """
     n = sig.n
-    bit = _bit_table(sig)
+    feeble = level is Level.FEEBLE
+    width = 0 if feeble else len(required_multisets(sig))
+    table = _pair_table(sig, width)
+    # field c of a table entry starts at bit base + c * width
+    base, field_mask = n + 1 - width, (1 << width) - 1
     edges = edge_list(m)
     total = len(edges)
     strong = level is Level.STRONG
@@ -139,15 +174,18 @@ def _search_m(sig: Signature, level: Level, m: int, budget: _Budget, *,
     # prefixes K_3 (K_2 has one colouring) to K_m, the last at the leaf
     prefixes = {comb(j, 2): j for j in range(3, m + 1)}
 
-    colours, entry_used, first_bits = [[0] * (total + 1) for _ in range(3)]
+    colours, entry_used, first_bits, allowed, fields = [
+        [0] * (total + 1) for _ in range(5)]
     if strong:
         neigh = [[1 << v] + [0] * n for v in range(m)]
         # per position: the endpoints' masks, each with the other's bit
         ends = [(neigh[i], 1 << j, neigh[j], 1 << i) for i, j in edges]
     # bit k of realised is set once a triangle realises multiset k; the
     # feeble level needs none, so there every bit counts as set from the start
-    missing, realised = ((0, -1) if level is Level.FEEBLE
-                         else (len(required_multisets(sig)), 0))
+    missing, realised = (0, -1) if feeble else (width, 0)
+    nodes, limit = budget.nodes, budget.node_budget
+    if limit is None:
+        limit = inf
     used = idx = 0
     while idx >= 0:
         c = colours[idx]
@@ -160,6 +198,7 @@ def _search_m(sig: Signature, level: Level, m: int, budget: _Budget, *,
             if new := first_bits[idx]:
                 realised ^= new
                 missing += new.bit_count()
+            left = allowed[idx]
         elif (used + (total - idx) < n or missing > remaining_triangles[idx]
               or strong and idx == total
               and any(unwitnessed(neigh, colours, sig))
@@ -175,39 +214,45 @@ def _search_m(sig: Signature, level: Level, m: int, budget: _Budget, *,
             # independent soundness check
             if not verify(cand, sig, level).passed:
                 raise AssertionError("search produced an invalid colouring")
+            budget.nodes = nodes
             yield cand
             continue
-        top = used + 1 if used < n else n
-        pairs = closures[idx]
-        while c < top:
-            c += 1
-            bit_c = bit[c]
+        else:
+            # first entry: the colours up to used + 1 (at most n) that every
+            # closure allows, and the multiset fields of its triangles
+            left = (2 << (used + 1 if used < n else n)) - 2
             got = 0
-            for e1, e2 in pairs:
-                b = bit_c[colours[e1]][colours[e2]]
-                if not b:
+            for e1, e2 in closures[idx]:
+                entry = table[colours[e1]][colours[e2]]
+                left &= entry
+                if not left:
                     break
-                got |= b
-            else:
-                break
-        else:  # no colour left: leave the position
+                got |= entry
+            fields[idx] = got
+        if not left:  # no colour left: leave the position
             colours[idx] = 0
             idx -= 1
             continue
-        budget.tick()
-        colours[idx] = c
+        nodes += 1
+        if nodes > limit:
+            budget.nodes = nodes
+            raise BudgetExceeded
+        low = left & -left
+        allowed[idx] = left ^ low
+        c = colours[idx] = low.bit_length() - 1
         if strong:
             masks_i, bit_j, masks_j, bit_i = ends[idx]
             masks_i[c] |= bit_j
             masks_j[c] |= bit_i
         if c > used:
             used = c
-        if new := got & ~realised:
+        if new := fields[idx] >> base + c * width & field_mask & ~realised:
             realised |= new
             missing -= new.bit_count()
         first_bits[idx] = new
         idx += 1
         entry_used[idx] = used
+    budget.nodes = nodes
 
 
 def search(sig: Signature, level: Level, m_range=None,

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -337,3 +338,26 @@ def test_module_entry_point_runs_without_warning():
         env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stderr == ""
+
+
+def test_feeble_search_setup_is_bounded_by_the_budget():
+    # the feeble pair table has (n+1)² entries and no multiset fields, so a
+    # budgeted feeble search at n=200 ends at once, in little memory
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    child = ("import resource, sys\n"
+             "from chromarep.cli import run\n"
+             "code = run(sys.argv[1:], out=sys.stdout)\n"
+             "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+             "sys.exit(code)\n")
+    start = time.monotonic()
+    done = subprocess.run(
+        [sys.executable, "-c", child, "search", "--s", "1", "--n", "200",
+         "--level", "feeble", "--budget-nodes", "10"],
+        env=env, capture_output=True, text=True, timeout=60)
+    seconds = time.monotonic() - start
+    *_, summary, peak_kb = done.stdout.splitlines()
+    assert (done.returncode, summary) == (3, "budget exhausted"), done.stderr
+    assert seconds < 2
+    assert int(peak_kb) < 40 * 1024

@@ -5,15 +5,17 @@ from itertools import combinations, product
 
 import pytest
 
+from chromarep.algebra import required_multisets, triangle_table
 from chromarep.cli import certify_summary_row
 from chromarep.colouring import (EdgeColouring, Level, VerificationReport,
                                  canonical_form, colour_rows, neighbour_masks,
                                  verify)
 from chromarep.constructions import pentagon
-from chromarep.search import (_Budget, _search_m, default_m_range,
-                              enumerate_representations, search)
+from chromarep.search import (_Budget, _pair_table, _search_m,
+                              default_m_range, enumerate_representations,
+                              search)
 
-from helpers import sig
+from helpers import ALL_S, sig
 
 
 def test_default_m_range():
@@ -390,6 +392,19 @@ GOLDEN_SEARCHES = [
     ((2,), 3, _Q, (2, 7),
      _SKIPPED + [(5, "exhausted", 606), (6, "exhausted", 5640),
                  (7, "exhausted", 34422)], None),
+    # recorded before the search chose colours from its packed pair table:
+    # 15 multisets make n + 1 + 5 * 15 = 81-bit table entries here
+    ((1, 3), 5, _Q, None,
+     _SKIPPED + [(5, "skipped", 0), (6, "exhausted", 9195),
+                 (7, "found", 5109)],
+     (1, 1, 1, 2, 3, 4, 2, 4, 5, 2, 3, 2, 5, 1, 5, 3, 4, 2, 5, 4, 3)),
+    # and closures of up to 7 triangles on K_9
+    ((1, 3), 4, _S, None,
+     _SKIPPED + [(5, "exhausted", 157), (6, "exhausted", 1166),
+                 (7, "exhausted", 5375), (8, "exhausted", 18825),
+                 (9, "found", 153)],
+     (1, 1, 1, 2, 3, 4, 2, 4, 3, 2, 3, 2, 4, 4, 1, 3, 4, 2, 1, 4, 3, 4, 2, 3,
+      1, 3, 2, 1, 4, 3, 2, 3, 1, 1, 2, 4)),
 ]
 
 
@@ -406,6 +421,27 @@ def test_search_golden_pin(s, n, level, m_range, per_m, colours):
     else:
         assert outcome.status == "found"
         assert outcome.colouring.colours == colours
+
+
+def test_pair_table_matches_triangle_table():
+    # bit c of table[a][b] is set iff {a, b, c} is consistent, and field c
+    # holds the bit of its multiset; rows and columns 0 stay empty
+    for s, n in product(ALL_S, range(1, 6)):
+        tri = triangle_table(sig(s, n))
+        for width in (0, len(required_multisets(sig(s, n)))):
+            table = _pair_table(sig(s, n), width)
+            assert len(table) == n + 1 and not any(table[0])
+            for a in range(1, n + 1):
+                assert len(table[a]) == n + 1 and table[a][0] == 0
+                for b, c in product(range(1, n + 1), repeat=2):
+                    entry, k = table[a][b], tri[a][b][c]
+                    assert entry >> c & 1 == (k > 0), (s, n, a, b, c)
+                    field = entry >> n + 1 + (c - 1) * width
+                    assert field & (1 << width) - 1 == (
+                        1 << k - 1 if k and width else 0), (s, n, a, b, c)
+                    # no bit outside 1..n and the n fields
+                    assert entry & 1 == 0
+                    assert entry >> n + 1 + n * width == 0
 
 
 def test_search_budgeted_abort_pin():
