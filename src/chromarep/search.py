@@ -85,36 +85,36 @@ class _Budget:
 
 
 @cache
-def _pair_table(sig: Signature, width: int) -> tuple:
+def _pair_table(sig: Signature, multisets: bool) -> tuple:
     """``table[a][b]``, for proper colours a and b, packs into one int the
-    colours c that make {a, b, c} consistent (bit c, 1..n) and the bit
-    ``1 << k`` of each one's multiset, entry k + 1 of ``triangle_table``
-    (field c: ``width`` bits from bit n + 1 + (c - 1) * width).  Row and
-    column 0 are 0.  Width 0, for the feeble level, holds no multisets, so
-    its (n+1)² entries follow from the count of distinct colours alone."""
+    colours c that make {a, b, c} consistent (bit c, 1..n) and, with
+    ``multisets``, the bit ``1 << k`` of each one's multiset, entry k + 1 of
+    ``triangle_table`` (field c: W = ``len(required_multisets(sig))`` bits
+    from bit n + 1 + (c - 1) * W).  Row and column 0 are 0.  The colour bits
+    follow from the count of distinct colours alone, so without multisets,
+    for the feeble level, the (n+1)² entries need no ``triangle_table``."""
     n, s = sig.n, sig.s_set
-    if width:
-        def packed(col):
-            # set each bit in place: summing shifted ints would copy an
-            # entry of n * width bits n times
-            entry = bytearray((n + 1 + n * width + 7) // 8)
-            for c, k in enumerate(col):
-                if k:
-                    for at in (c, n + k + (c - 1) * width):
-                        entry[at // 8] |= 1 << at % 8
-            return int.from_bytes(entry, "little")
-
-        return tuple(tuple(map(packed, plane))
-                     for plane in triangle_table(sig))
     every = (2 << n) - 2
+    if multisets:
+        width, tri = len(required_multisets(sig)), triangle_table(sig)
 
-    def bits(a, b):
+    def entry(a, b):
         # c in {a, b} gives t distinct colours, any other c gives t + 1
         pair, t = 1 << a | 1 << b, len({a, b})
-        return (pair if t in s else 0) | (every ^ pair if t + 1 in s else 0)
+        bits = (pair if t in s else 0) | (every ^ pair if t + 1 in s else 0)
+        if multisets:
+            # set each field's bit in place: summing shifted ints would copy
+            # an entry of n * W bits n times
+            fields = bytearray((n + 1 + n * width + 7) // 8)
+            for c, k in enumerate(tri[a][b]):
+                if k:
+                    at = n + k + (c - 1) * width
+                    fields[at // 8] |= 1 << at % 8
+            bits |= int.from_bytes(fields, "little")
+        return bits
 
     colours = range(n + 1)
-    return tuple(tuple(a and b and bits(a, b) for b in colours)
+    return tuple(tuple(a and b and entry(a, b) for b in colours)
                  for a in colours)
 
 
@@ -154,8 +154,8 @@ def _search_m(sig: Signature, level: Level, m: int, budget: _Budget, *,
     """
     n = sig.n
     feeble = level is Level.FEEBLE
+    table = _pair_table(sig, not feeble)
     width = 0 if feeble else len(required_multisets(sig))
-    table = _pair_table(sig, width)
     # field c of a table entry starts at bit base + c * width
     base, field_mask = n + 1 - width, (1 << width) - 1
     edges = edge_list(m)

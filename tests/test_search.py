@@ -428,8 +428,9 @@ def test_pair_table_matches_triangle_table():
     # holds the bit of its multiset; rows and columns 0 stay empty
     for s, n in product(ALL_S, range(1, 6)):
         tri = triangle_table(sig(s, n))
-        for width in (0, len(required_multisets(sig(s, n)))):
-            table = _pair_table(sig(s, n), width)
+        for multisets in (False, True):
+            table = _pair_table(sig(s, n), multisets)
+            width = len(required_multisets(sig(s, n))) if multisets else 0
             assert len(table) == n + 1 and not any(table[0])
             for a in range(1, n + 1):
                 assert len(table[a]) == n + 1 and table[a][0] == 0
