@@ -223,35 +223,12 @@ def check_na_atom_structure(structure: AtomStructure) -> AtomStructureReport:
                                closure_total=len(closure))
 
 
-def atom_mask(*atoms: int) -> int:
-    mask = 0
-    for a in atoms:
-        mask |= 1 << a
-    return mask
-
-
-def atoms_in_mask(mask: int):
-    a = 0
-    while mask:
-        if mask & 1:
-            yield a
-        mask >>= 1
-        a += 1
-
-
 def compose(structure: AtomStructure, a_mask: int, b_mask: int) -> int:
     """Complex-algebra composition of two atom sets (bitmasks)."""
     out = 0
     for s, r, u in structure.triples:
         if a_mask >> s & 1 and b_mask >> r & 1:
             out |= 1 << u
-    return out
-
-
-def converse_mask(structure: AtomStructure, mask: int) -> int:
-    out = 0
-    for a in atoms_in_mask(mask):
-        out |= 1 << structure.conv(a)
     return out
 
 

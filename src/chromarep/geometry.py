@@ -5,6 +5,21 @@ Points are integers 0..point_count-1; lines are frozensets of points; a
 parallelism is a partition of line indices into blocks whose lines are
 pairwise disjoint.  Block i+1 becomes edge colour i+1 in the colouring
 translation.
+
+Axioms LS4 (each block has a line of at least 3 points) and LS5 (any three
+distinct blocks hold the pairwise lines of some three points) are
+``verify`` at the qualitative level of ``{1,3}``, one colour per block
+(Lyndon 1950).  In the colouring of a parallelism, colour c is block c - 1:
+- no triangle is dichromatic: sides xy and xz of one colour lie on lines of
+  one block through x, so on one line, and yz lies on it too;
+- so a monochromatic triangle of colour c is three points of one line of
+  block c - 1, which then has at least 3 points, and any three points of
+  such a line are one;
+- a trichromatic triangle of colours a, b, c is three points whose pairwise
+  lines lie in blocks a - 1, b - 1 and c - 1: LS5's point triple.
+So the colouring passes iff LS4 and LS5 hold (LS4 also makes every colour
+used).  A missing (c, c, c) is an LS4 failure at block c - 1, and a missing
+(a, b, c) an LS5 failure at blocks (a - 1, b - 1, c - 1).
 """
 
 from __future__ import annotations
@@ -14,8 +29,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from math import isqrt
 
-from .algebra import (MAX_WITNESSES, Signature, _int_rows, _json_object,
-                      _require_int, required_multisets)
+from .algebra import Signature, _int_rows, _json_object, _require_int
 from .colouring import EdgeColouring, cayley, colour_rows, triangle_scan
 
 
@@ -112,57 +126,6 @@ def _require_parallelism(sp: LinearSpace, pw: Parallelism) -> None:
         raise ValueError("invalid linear space")
     if not validate_parallelism(sp, pw).valid:
         raise ValueError("invalid parallelism")
-
-
-@dataclass
-class Ls4Report:
-    valid: bool
-    blocks_without_long_line: list = field(default_factory=list)
-
-
-def check_ls4(sp: LinearSpace, pw: Parallelism) -> Ls4Report:
-    """Each parallel class must contain a line with at least 3 points.
-
-    Raises ValueError when the input is no linear space with a parallelism.
-    """
-    _require_parallelism(sp, pw)
-    bad = [b for b, block in enumerate(pw.blocks)
-           if not any(len(sp.lines[i]) >= 3 for i in block)]
-    return Ls4Report(valid=not bad, blocks_without_long_line=bad)
-
-
-@dataclass
-class Ls5Report:
-    valid: bool
-    witnesses: dict = field(default_factory=dict)
-    failures: list = field(default_factory=list)
-
-
-def check_ls5(sp: LinearSpace, pw: Parallelism) -> Ls5Report:
-    """Each triple of distinct parallel classes needs three points in
-    general position whose pairwise lines lie in those classes.
-
-    These are the trichromatic multisets of the {1,3} signature on the
-    colouring of the parallelism; the monochromatic requirement is LS4's
-    job and the dichromatic combination cannot occur under a parallelism.
-    Raises ValueError, through ``colouring_from_parallelism``, when the
-    input is no linear space with a parallelism.
-    """
-    sig = Signature(frozenset({1, 3}), len(pw.blocks))
-    col = colouring_from_parallelism(sp, pw)
-    _, _, first = triangle_scan(colour_rows(col.m, col.colours), sig)
-    report = Ls5Report(valid=True)
-    for k, (a, b, c) in enumerate(required_multisets(sig)):
-        if not a < b < c:
-            continue
-        combo = (a - 1, b - 1, c - 1)
-        if k in first:
-            report.witnesses[combo] = first[k]
-        else:
-            if len(report.failures) < MAX_WITNESSES:
-                report.failures.append(combo)
-            report.valid = False
-    return report
 
 
 def near_pencil(n: int):

@@ -180,9 +180,9 @@ def _search_m(sig: Signature, level: Level, m: int, budget: _Budget, *,
         neigh = [[1 << v] + [0] * n for v in range(m)]
         # per position: the endpoints' masks, each with the other's bit
         ends = [(neigh[i], 1 << j, neigh[j], 1 << i) for i, j in edges]
-    # bit k of realised is set once a triangle realises multiset k; the
-    # feeble level needs none, so there every bit counts as set from the start
-    missing, realised = (0, -1) if feeble else (width, 0)
+    # bit k of realised is set once a triangle realises multiset k; at the
+    # feeble level width is 0, so no multiset bit is ever read
+    missing, realised = width, 0
     nodes, limit = budget.nodes, budget.node_budget
     if limit is None:
         limit = inf

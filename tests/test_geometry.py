@@ -1,16 +1,31 @@
 """Linear spaces, parallelisms, planes and the deletion construction."""
 
+from itertools import combinations
+
 import pytest
 
 from chromarep.colouring import EdgeColouring, Level, verify
 from chromarep.geometry import (LinearSpace, Parallelism, _field_tables,
-                                affine_plane, check_ls4, check_ls5,
-                                colouring_from_parallelism, cyclotomic,
-                                drop_points, linear_space_from_colouring,
-                                near_pencil, prime_power, same_space,
-                                validate_parallelism, validate_space)
+                                affine_plane, colouring_from_parallelism,
+                                cyclotomic, drop_points,
+                                linear_space_from_colouring, near_pencil,
+                                prime_power, same_space, validate_parallelism,
+                                validate_space)
+from chromarep.search import enumerate_representations
 
 from helpers import sig
+
+
+def ls_axioms(sp, pw):
+    """(passed, LS4 failures, LS5 failures) read from ``verify`` at the
+    qualitative level of {1,3}: colour c is block c - 1, so a missing
+    (b, b, b) is block b - 1 without a long line and a missing trichromatic
+    (a, b, c) the block triple (a - 1, b - 1, c - 1) without a triangle."""
+    report = verify(colouring_from_parallelism(sp, pw),
+                    sig((1, 3), len(pw.blocks)), Level.QUALITATIVE)
+    missing = report.missing_required
+    return (report.passed, [a - 1 for a, _, c in missing if a == c],
+            [(a - 1, b - 1, c - 1) for a, b, c in missing if a < b < c])
 
 
 def test_prime_power():
@@ -69,46 +84,29 @@ def test_parallelism_naming_unknown_lines():
         assert report.not_a_partition and not report.valid
         with pytest.raises(ValueError):
             colouring_from_parallelism(sp, pw)
-        for check in (check_ls4, check_ls5):
-            with pytest.raises(ValueError):
-                check(sp, pw)
 
 
 def test_ls5_rejects_non_parallelisms():
     # crossing lines in one block, and blocks that miss lines: neither is a
-    # parallelism, so there are no parallel classes to check
+    # parallelism, so there are no parallel classes to colour or check
     sp, _ = affine_plane(2)
     for bad in (Parallelism(((0, 2), (1, 3), (4, 5))),
                 Parallelism(((0,), (1,)))):
-        for check in (check_ls4, check_ls5):
-            with pytest.raises(ValueError):
-                check(sp, bad)
+        with pytest.raises(ValueError, match="invalid parallelism"):
+            ls_axioms(sp, bad)
 
 
 def test_ls4_ls5_affine_plane():
-    sp, pw = affine_plane(3)
-    assert check_ls4(sp, pw).valid
-    report = check_ls5(sp, pw)
-    assert report.valid
-    assert len(report.witnesses) == 4  # C(4,3) distinct block triples
-    col = colouring_from_parallelism(sp, pw)
-    for (b1, b2, b3), (p, q, r) in report.witnesses.items():
-        got = {col.colour(p, q) - 1, col.colour(q, r) - 1,
-               col.colour(p, r) - 1}
-        assert got == {b1, b2, b3}
+    assert ls_axioms(*affine_plane(3)) == (True, [], [])
 
 
 def test_ls4_fails_on_near_pencil_even():
-    sp, pw = near_pencil(4)
-    report = check_ls4(sp, pw)
-    assert not report.valid
+    passed, ls4, ls5 = ls_axioms(*near_pencil(4))
+    assert not passed
     # every 2-point apex line is its own block and has no long line
-    assert len(report.blocks_without_long_line) == 3
-    report = check_ls5(sp, pw)
-    assert not report.valid
+    assert ls4 == [1, 2, 3]
     # blocks 1-3 are the apex lines; all meet at 0, so no triangle uses them
-    assert report.failures == [(1, 2, 3)]
-    assert set(report.witnesses) == {(0, 1, 2), (0, 1, 3), (0, 2, 3)}
+    assert ls5 == [(1, 2, 3)]
 
 
 def test_near_pencil_shapes():
@@ -119,7 +117,7 @@ def test_near_pencil_shapes():
     assert len(sp.lines) == 4 and len(pw.blocks) == 4
     sp, pw = near_pencil(5)
     assert validate_space(sp).valid
-    assert not check_ls4(sp, pw).valid
+    assert ls_axioms(sp, pw)[1] == [1, 2, 3, 4]
     with pytest.raises(ValueError):
         near_pencil(2)
 
@@ -196,8 +194,7 @@ def test_affine_plane_order4():
     assert len(sp.lines) == 20 and len(pw.blocks) == 5
     assert validate_space(sp).valid
     assert validate_parallelism(sp, pw).valid
-    assert check_ls4(sp, pw).valid
-    assert check_ls5(sp, pw).valid
+    assert ls_axioms(sp, pw) == (True, [], [])
     # reference: GF(4) written out by hand, addition xor on {0,1,2,3}
     mul = ((0, 0, 0, 0),
            (0, 1, 2, 3),
@@ -224,28 +221,52 @@ def test_drop_points_counts():
             assert len(pw.blocks) == q + k + 1
 
 
-def test_drop_points_ls_axioms_order5():
-    sp, pw = drop_points(5, 1)
-    assert check_ls4(sp, pw).valid
-    assert check_ls5(sp, pw).valid
-
-
 def test_drop_points_ls_axioms_order4():
     # the order-4 plane is the least that keeps LS4 after a deletion
     for k in (1, 2):
         sp, pw = drop_points(4, k)
         assert len(pw.blocks) == 5 + k
-        assert check_ls4(sp, pw).valid
-        assert check_ls5(sp, pw).valid
+        assert ls_axioms(sp, pw) == (True, [], [])
 
 
 def test_drop_points_ls4_gap_at_order3():
     # deleting from the order-3 plane leaves only 2-point lines in the new
     # pencil, so the monochromatic axiom fails there
-    sp, pw = drop_points(3, 1)
-    report = check_ls4(sp, pw)
-    assert not report.valid
-    assert report.blocks_without_long_line == [4]
+    passed, ls4, _ = ls_axioms(*drop_points(3, 1))
+    assert not passed
+    assert ls4 == [4]
+
+
+def geometric_ls_axioms(sp, pw):
+    """Oracle: (passed, LS4 failures, LS5 failures) from the definitions,
+    the blocks with no line of at least 3 points and the block triples
+    a < b < c for which no three points have their pairwise lines in
+    blocks a, b and c."""
+    block_of = {pair: b for b, block in enumerate(pw.blocks) for i in block
+                for pair in combinations(sorted(sp.lines[i]), 2)}
+    ls4 = [b for b, block in enumerate(pw.blocks)
+           if all(len(sp.lines[i]) < 3 for i in block)]
+    met = set()
+    for p, q, r in combinations(range(sp.point_count), 3):
+        kinds = {block_of[p, q], block_of[q, r], block_of[p, r]}
+        if len(kinds) == 3:
+            met.add(tuple(sorted(kinds)))
+    ls5 = [t for t in combinations(range(len(pw.blocks)), 3) if t not in met]
+    return not ls4 and not ls5, ls4, ls5
+
+
+LS_STRUCTURES = ([("affine_plane", q) for q in (2, 3, 4, 5, 7, 8, 9)]
+                 + [("near_pencil", n) for n in range(3, 13)]
+                 + [("drop_points", q, k) for q in (3, 4, 5, 7, 8)
+                    for k in range(q - 1)])
+
+
+@pytest.mark.parametrize("build", LS_STRUCTURES, ids=str)
+def test_verify_decides_ls4_ls5(build):
+    name, *args = build
+    space = {"affine_plane": affine_plane, "near_pencil": near_pencil,
+             "drop_points": drop_points}[name](*args)
+    assert ls_axioms(*space) == geometric_ls_axioms(*space)
 
 
 def test_drop_points_rejections():
@@ -278,8 +299,10 @@ def test_colouring_from_parallelism_affine_plane_strong():
 
 
 def test_drop_points_colouring_qualitative_order5():
-    col = colouring_from_parallelism(*drop_points(5, 1))
-    assert verify(col, sig((1, 3), 7), Level.QUALITATIVE).passed
+    # LS4 and LS5 hold, so the colouring is qualitative {1,3} on 7 colours
+    sp, pw = drop_points(5, 1)
+    assert len(pw.blocks) == 7
+    assert ls_axioms(sp, pw) == (True, [], [])
 
 
 def test_colouring_from_parallelism_rejects_invalid():
@@ -288,7 +311,7 @@ def test_colouring_from_parallelism_rejects_invalid():
         colouring_from_parallelism(sp, Parallelism(((0, 2), (1, 3), (4, 5))))
     # pair {0, 1} lies on two lines: no linear space, so no colouring
     sp = LinearSpace(3, (frozenset({0, 1, 2}), frozenset({0, 1})))
-    for check in (colouring_from_parallelism, check_ls4, check_ls5):
+    for check in (colouring_from_parallelism, ls_axioms):
         with pytest.raises(ValueError, match="invalid linear space"):
             check(sp, Parallelism(((0,), (1,))))
 
@@ -320,6 +343,22 @@ def test_space_round_trip_single_colour():
     sp, pw = linear_space_from_colouring(col)
     assert sp.lines == (frozenset({0, 1, 2}),)
     assert pw.blocks == ((0,),)
+
+
+def test_space_round_trip_enumerated_colourings():
+    # every feeble {1,3} colouring has no dichromatic triangle, so it is the
+    # colouring of the linear space it determines
+    classes = 0
+    for n in range(2, 6):
+        for m in range(3, 10):
+            found, partial = enumerate_representations(sig((1, 3), n),
+                                                       Level.FEEBLE, m)
+            assert not partial
+            classes += len(found)
+            for col in found:
+                assert colouring_from_parallelism(
+                    *linear_space_from_colouring(col)) == col
+    assert classes == 70
 
 
 def test_linear_space_from_colouring_rejects_dichromatic():
