@@ -91,12 +91,10 @@ class EdgeColouring:
     def used_colours(self) -> set[int]:
         return set(self.colours)
 
-    def to_json(self, signature=None) -> str:
-        doc = {"vertices": self.m,
-               "edges": sorted([i, j, c] for i, j, c in self.edges())}
-        if signature is not None:
-            doc["signature"] = {"s": sorted(signature.s_set), "n": signature.n}
-        doc["colours"] = self.n
+    def to_json(self, signature) -> str:
+        doc = {"vertices": self.m, "colours": self.n,
+               "edges": sorted([i, j, c] for i, j, c in self.edges()),
+               "signature": {"s": sorted(signature.s_set), "n": signature.n}}
         return json.dumps(doc, indent=2, sort_keys=True)
 
     @classmethod
@@ -225,12 +223,12 @@ def triangle_scan(rows, sig):
     ``combinations`` order.
 
     Returns (forbidden total, the first ``MAX_WITNESSES`` forbidden
-    (vertex triple, colour triple) pairs, first), where ``first[k]`` is the
-    first vertex triple realising ``required_multisets(sig)[k]``.
+    (vertex triple, colour triple) pairs, the set of the k for which some
+    triangle realises ``required_multisets(sig)[k]``).
     """
     table = triangle_table(sig)
     m = len(rows)
-    total, witnesses, first = 0, [], {}
+    total, witnesses, realised = 0, [], set()
     for x in range(m):
         row_x = rows[x]
         for y in range(x + 1, m):
@@ -243,9 +241,9 @@ def triangle_scan(rows, sig):
                     if len(witnesses) < MAX_WITNESSES:
                         witnesses.append(((x, y, z),
                                           (row_x[y], row_y[z], row_x[z])))
-                elif entry not in first:
-                    first[entry] = (x, y, z)
-    return total, witnesses, {k - 1: v for k, v in first.items()}
+                elif entry not in realised:
+                    realised.add(entry)
+    return total, witnesses, {k - 1 for k in realised}
 
 
 def neighbour_masks(rows, n: int) -> list[list[int]]:

@@ -20,11 +20,19 @@ distinct blocks hold the pairwise lines of some three points) are
 So the colouring passes iff LS4 and LS5 hold (LS4 also makes every colour
 used).  A missing (c, c, c) is an LS4 failure at block c - 1, and a missing
 (a, b, c) an LS5 failure at blocks (a - 1, b - 1, c - 1).
+
+Conversely a parallelism is its colouring: the lines of block c - 1 are the
+connected components of colour c, as a colour-c edge between two (disjoint)
+lines of that block would lie on a third line of it that meets both.
+``linear_space_from_colouring`` lists blocks in colour order, so two
+parallelisms on the same points are equal, block order included and line
+indices aside, iff their colourings are.
 """
 
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations
 from math import isqrt
@@ -72,30 +80,22 @@ class SpaceReport:
     valid: bool
     uncovered_pairs: list = field(default_factory=list)
     multi_covered_pairs: list = field(default_factory=list)
-    double_meets: list = field(default_factory=list)
     short_lines: list = field(default_factory=list)
 
 
 def validate_space(sp: LinearSpace) -> SpaceReport:
     """Check the three linear-space axioms, with witnesses."""
-    report = SpaceReport(valid=True)
-    cover = {}
-    for idx, line in enumerate(sp.lines):
-        if len(line) < 2:
-            report.short_lines.append(idx)
-        for p, q in combinations(sorted(line), 2):
-            cover.setdefault((p, q), []).append(idx)
-    double_meets = set()  # two lines meet twice iff they share a pair
-    for p, q in combinations(range(sp.point_count), 2):
-        hits = cover.get((p, q), [])
-        if not hits:
-            report.uncovered_pairs.append((p, q))
-        elif len(hits) > 1:
-            report.multi_covered_pairs.append((p, q))
-            double_meets.update(combinations(hits, 2))
-    report.double_meets = sorted(double_meets)
+    report = SpaceReport(valid=True, short_lines=[
+        idx for idx, line in enumerate(sp.lines) if len(line) < 2])
+    cover = Counter(pair for line in sp.lines  # lines through each pair
+                    for pair in combinations(sorted(line), 2))
+    for pair in combinations(range(sp.point_count), 2):
+        if not cover[pair]:
+            report.uncovered_pairs.append(pair)
+        elif cover[pair] > 1:  # two lines through it meet twice
+            report.multi_covered_pairs.append(pair)
     report.valid = not (report.uncovered_pairs or report.multi_covered_pairs
-                        or report.double_meets or report.short_lines)
+                        or report.short_lines)
     return report
 
 
@@ -119,13 +119,6 @@ def validate_parallelism(sp: LinearSpace, pw: Parallelism) -> ParallelismReport:
                 report.crossing_pairs.append((i, j))
     report.valid = not (report.not_a_partition or report.crossing_pairs)
     return report
-
-
-def _require_parallelism(sp: LinearSpace, pw: Parallelism) -> None:
-    if not validate_space(sp).valid:
-        raise ValueError("invalid linear space")
-    if not validate_parallelism(sp, pw).valid:
-        raise ValueError("invalid parallelism")
 
 
 def near_pencil(n: int):
@@ -254,7 +247,10 @@ def drop_points(q: int, k: int):
 
 def colouring_from_parallelism(sp: LinearSpace, pw: Parallelism) -> EdgeColouring:
     """Colour each point pair by the block of its line (1-based)."""
-    _require_parallelism(sp, pw)
+    if not validate_space(sp).valid:
+        raise ValueError("invalid linear space")
+    if not validate_parallelism(sp, pw).valid:
+        raise ValueError("invalid parallelism")
     colour = {pair: b + 1 for b, block in enumerate(pw.blocks) for idx in block
               for pair in combinations(sorted(sp.lines[idx]), 2)}
     return EdgeColouring.from_function(sp.point_count, len(pw.blocks),
@@ -285,17 +281,3 @@ def linear_space_from_colouring(col: EdgeColouring):
                 lines.append(frozenset(line + [v]))
         blocks.append(tuple(block))
     return LinearSpace(col.m, tuple(lines)), Parallelism(tuple(blocks))
-
-
-def same_space(a, b) -> bool:
-    """Structural equality on the identity point map: same line sets and
-    the same partition of lines into blocks (block order ignored)."""
-    sp_a, pw_a = a
-    sp_b, pw_b = b
-    if sp_a.point_count != sp_b.point_count:
-        return False
-    if set(sp_a.lines) != set(sp_b.lines):
-        return False
-    blocks_a = {frozenset(sp_a.lines[i] for i in block) for block in pw_a.blocks}
-    blocks_b = {frozenset(sp_b.lines[i] for i in block) for block in pw_b.blocks}
-    return blocks_a == blocks_b

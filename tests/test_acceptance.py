@@ -14,7 +14,7 @@ from chromarep.constructions import (chain_colouring, construct, pentagon,
                                      walecki, walecki_witness)
 from chromarep.geometry import (affine_plane, colouring_from_parallelism,
                                 drop_points, linear_space_from_colouring,
-                                near_pencil, same_space)
+                                near_pencil)
 from chromarep.quasigroup import (lambda1, lambda2,
                                   quasigroup_from_colouring, standard_qn,
                                   validate)
@@ -128,7 +128,9 @@ def test_criterion_07_round_trips():
                  drop_points(5, 1), drop_points(7, 3)]
     for plane in instances:
         col = colouring_from_parallelism(*plane)
-        assert same_space(linear_space_from_colouring(col), plane)
+        # a parallelism is its colouring (see geometry's docstring)
+        assert colouring_from_parallelism(
+            *linear_space_from_colouring(col)) == col
     six, _ = enumerate_representations(sig((3,), 5), Level.QUALITATIVE, 6)
     for big in six:
         q = quasigroup_from_colouring(big)

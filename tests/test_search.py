@@ -138,15 +138,21 @@ BRUTE_FORCE_CASES = [
          for s, n, level, m in BRUTE_FORCE_CASES])
 def test_symmetry_breaking_safety(s, n, level, m):
     # first-occurrence colour order loses no iso-class: the reference runs
-    # every colouring of K_m through verify, independently of the search
-    brute = set()
+    # every colouring of K_m through verify, independently of the search.
+    # The search finds the least passing colouring, in product order, whose
+    # colours first occur in the order 1..n (a passing one uses them all)
+    brute, least = set(), None
     for colours in product(range(1, n + 1), repeat=m * (m - 1) // 2):
         col = EdgeColouring(m, n, colours)
         if verify(col, sig(s, n), level).passed:
             brute.add(canonical_form(col).colours)
+            if least is None and tuple(dict.fromkeys(colours)) == tuple(
+                    range(1, n + 1)):
+                least = col
     found, partial = enumerate_representations(sig(s, n), level, m)
     assert not partial
     assert [c.colours for c in found] == sorted(brute)
+    assert search(sig(s, n), level, m_range=(m, m)).colouring == least
 
 
 # each case with the leaves and nodes of the orderly kernel, measured: the
