@@ -9,20 +9,23 @@ position by one bound: too few edges left for surjectivity, too few
 triangles for the missing multisets, or a strong leaf's missing witness.
 ``search`` breaks only this colour symmetry; ``enumerate_representations``
 also breaks vertex symmetry, by orderly generation (Read 1978, Faradzev
-1978), whose canonical-prefix test joins the bound.  Two exhaustions are
-reported as nonexistence certificates: the default range [2, 3(n+1)] at
-the qualitative level, which rests on the range being complete, unproved
-(ROADMAP.md, item 2); and [2, 2n] at the feeble level, which is proved
-(see ``search``).  Any other exhaustion is only a range-limited answer.
+1978), whose canonical-prefix test joins the bound.  Three exhaustions
+from m=2 are reported as nonexistence certificates: one that reaches a
+dead m, an m whose search the bound never cut, at any level, which is
+proved (see ``search``); the default range [2, 3(n+1)] at the qualitative
+level, which rests on the range being complete, unproved (ROADMAP.md,
+item 2); and [2, 2n] at the feeble level, which is proved.  Any other
+exhaustion is only a range-limited answer.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 import time
 from dataclasses import dataclass, field
 from functools import cache
-from math import comb, inf
+from math import comb
 
 from .algebra import Signature, required_multisets, triangle_table
 from .colouring import (EdgeColouring, Level, _is_canonical, canonical_form,
@@ -39,6 +42,7 @@ class PerM:
     m: int
     status: str  # "found" | "exhausted" | "aborted" | "skipped"
     nodes: int
+    prunes: int  # entries the bound refused; 0 on an exhausted m: dead
     seconds: float
 
 
@@ -65,14 +69,14 @@ class SearchOutcome:
     def transcript_lines(self):
         for rec in self.per_m:
             yield json.dumps({"m": rec.m, "status": rec.status,
-                              "nodes": rec.nodes,
+                              "nodes": rec.nodes, "prunes": rec.prunes,
                               "seconds": round(rec.seconds, 4)})
 
 
 def default_m_range(sig: Signature) -> tuple[int, int]:
-    """[2, 3 |atoms|]; qualitative certificates assume, unproved, that it
-    is complete for qualitative existence.  It contains [2, 2n], which is
-    proved complete for feeble existence."""
+    """[2, 3 |atoms|]; qualitative certificates without a dead m assume,
+    unproved, that it is complete for qualitative existence.  It contains
+    [2, 2n], which is proved complete for feeble existence."""
     return 2, 3 * (sig.n + 1)
 
 
@@ -82,6 +86,8 @@ class _Budget:
             raise ValueError(f"node budget must be >= 0, got {node_budget}")
         self.node_budget = node_budget
         self.nodes = 0
+        # entries the search's one bound refused (see _search_m)
+        self.prunes = 0
 
 
 @cache
@@ -136,8 +142,12 @@ def _search_m(sig: Signature, level: Level, m: int, budget: _Budget, *,
     ``allowed[idx]``, stopping once none is left, and ORs their multiset
     fields into ``fields[idx]``.  Each next colour is the lowest allowed bit
     left, so colours are tried in ascending order, and its multisets are
-    read from its field.  Nodes are counted in a local, written to
-    ``budget.nodes`` before each yield, before ``BudgetExceeded`` and at
+    read from its field.  What a node step would compute from the colour
+    count, the position or the colour (the colours up to ``used + 1``, the
+    surjectivity threshold, a field's shift, a bit's colour) is read from
+    tables built once per call.  Nodes, and the entries the bound refuses,
+    are counted in locals, written to ``budget.nodes`` and
+    ``budget.prunes`` before each yield, before ``BudgetExceeded`` and at
     the end.
 
     At the strong level the kernel also keeps ``neigh[v][c]``, the bitmask
@@ -156,8 +166,13 @@ def _search_m(sig: Signature, level: Level, m: int, budget: _Budget, *,
     feeble = level is Level.FEEBLE
     table = _pair_table(sig, not feeble)
     width = 0 if feeble else len(required_multisets(sig))
-    # field c of a table entry starts at bit base + c * width
-    base, field_mask = n + 1 - width, (1 << width) - 1
+    # field c of a table entry starts at bit shift[c]
+    shift = [n + 1 + (c - 1) * width for c in range(n + 1)]
+    field_mask = (1 << width) - 1
+    # the colours a position entered with used colours may take: 1..used+1,
+    # at most n; and the colour of each such bit
+    start = [(2 << min(used + 1, n)) - 2 for used in range(n + 1)]
+    colour_of = {1 << c: c for c in range(1, n + 1)}
     edges = edge_list(m)
     total = len(edges)
     strong = level is Level.STRONG
@@ -170,6 +185,9 @@ def _search_m(sig: Signature, level: Level, m: int, budget: _Budget, *,
     # at the leaf
     remaining_triangles = [comb(m, 3) - comb(j, 3) - comb(i, 2)
                            for i, j in edges] + [0]
+    # surjectivity: entering idx with fewer colours than this leaves too few
+    # edges for the rest
+    least_used = [n - total + idx for idx in range(total + 1)]
     # entering position comb(j, 2) finds vertices 0..j-1 coloured: the
     # prefixes K_3 (K_2 has one colouring) to K_m, the last at the leaf
     prefixes = {comb(j, 2): j for j in range(3, m + 1)}
@@ -183,9 +201,9 @@ def _search_m(sig: Signature, level: Level, m: int, budget: _Budget, *,
     # bit k of realised is set once a triangle realises multiset k; at the
     # feeble level width is 0, so no multiset bit is ever read
     missing, realised = width, 0
-    nodes, limit = budget.nodes, budget.node_budget
+    nodes, prunes, limit = budget.nodes, budget.prunes, budget.node_budget
     if limit is None:
-        limit = inf
+        limit = sys.maxsize
     used = idx = 0
     while idx >= 0:
         c = colours[idx]
@@ -199,13 +217,14 @@ def _search_m(sig: Signature, level: Level, m: int, budget: _Budget, *,
                 realised ^= new
                 missing += new.bit_count()
             left = allowed[idx]
-        elif (used + (total - idx) < n or missing > remaining_triangles[idx]
+        elif (used < least_used[idx] or missing > remaining_triangles[idx]
               or strong and idx == total
               and any(unwitnessed(neigh, colours, sig))
               or orderly and idx in prefixes
               and not _is_canonical(colour_rows(prefixes[idx], colours))):
             # the one bound: surjectivity, the missing multisets, a strong
             # leaf's missing witness, then (costlier) a non-canonical prefix
+            prunes += 1
             idx -= 1
             continue
         elif idx == total:  # the leaf, past the bound
@@ -214,13 +233,13 @@ def _search_m(sig: Signature, level: Level, m: int, budget: _Budget, *,
             # independent soundness check
             if not verify(cand, sig, level).passed:
                 raise AssertionError("search produced an invalid colouring")
-            budget.nodes = nodes
+            budget.nodes, budget.prunes = nodes, prunes
             yield cand
             continue
         else:
             # first entry: the colours up to used + 1 (at most n) that every
             # closure allows, and the multiset fields of its triangles
-            left = (2 << (used + 1 if used < n else n)) - 2
+            left = start[used]
             got = 0
             for e1, e2 in closures[idx]:
                 entry = table[colours[e1]][colours[e2]]
@@ -235,24 +254,24 @@ def _search_m(sig: Signature, level: Level, m: int, budget: _Budget, *,
             continue
         nodes += 1
         if nodes > limit:
-            budget.nodes = nodes
+            budget.nodes, budget.prunes = nodes, prunes
             raise BudgetExceeded
         low = left & -left
         allowed[idx] = left ^ low
-        c = colours[idx] = low.bit_length() - 1
+        c = colours[idx] = colour_of[low]
         if strong:
             masks_i, bit_j, masks_j, bit_i = ends[idx]
             masks_i[c] |= bit_j
             masks_j[c] |= bit_i
         if c > used:
             used = c
-        if new := fields[idx] >> base + c * width & field_mask & ~realised:
+        if new := fields[idx] >> shift[c] & field_mask & ~realised:
             realised |= new
             missing -= new.bit_count()
         first_bits[idx] = new
         idx += 1
         entry_used[idx] = used
-    budget.nodes = nodes
+    budget.nodes, budget.prunes = nodes, prunes
 
 
 def search(sig: Signature, level: Level, m_range=None,
@@ -261,8 +280,13 @@ def search(sig: Signature, level: Level, m_range=None,
 
     Vertex counts are tried in ascending order; budget exhaustion always
     reports "aborted", never nonexistence.  Exhausting a range from m=2 is a
-    nonexistence certificate in two cases:
+    nonexistence certificate in three cases:
 
+    - at any level, when some m is dead: its search was exhausted and its
+      bound refused no entry, so every colouring of K_m in at most n
+      colours has a forbidden triangle.  Forbidden-freeness is hereditary,
+      so no representation, finite or infinite, has m vertices or more, and
+      each larger m in the range is recorded as "skipped" and not searched;
     - qualitative, when the range covers the default one, assumed (unproved)
       complete;
     - feeble, when the range reaches 2n.  Pick one edge of each colour of a
@@ -270,8 +294,8 @@ def search(sig: Signature, level: Level, m_range=None,
       2n endpoints still uses every colour and has no forbidden triangle,
       so it is a feeble representation on 2..2n vertices.
 
-    Strong exhaustion certifies nothing.  An empty range or a negative
-    budget raises ValueError.
+    Strong exhaustion certifies nothing without a dead m.  An empty range or
+    a negative budget raises ValueError.
     """
     default_lo, default_hi = default_m_range(sig)
     lo, hi = m_range if m_range is not None else (default_lo, default_hi)
@@ -279,8 +303,13 @@ def search(sig: Signature, level: Level, m_range=None,
         raise ValueError(f"empty vertex range {lo}..{hi}")
     budget = _Budget(node_budget)
     per_m = []
+    dead = False
     for m in range(lo, hi + 1):
-        start, before = time.perf_counter(), budget.nodes
+        if dead:
+            per_m.append(PerM(m, "skipped", 0, 0, 0.0))
+            continue
+        start, before, refused = (time.perf_counter(), budget.nodes,
+                                  budget.prunes)
         try:
             hit = next(_search_m(sig, level, m, budget), None)
             # edge (0, 1) closes no triangle, so a K_m that passes the bound
@@ -289,12 +318,14 @@ def search(sig: Signature, level: Level, m_range=None,
                       "exhausted" if budget.nodes > before else "skipped")
         except BudgetExceeded:
             hit, status = None, "aborted"
-        per_m.append(PerM(m, status, budget.nodes - before,
+        prunes = budget.prunes - refused
+        per_m.append(PerM(m, status, budget.nodes - before, prunes,
                           time.perf_counter() - start))
         if status in ("found", "aborted"):
             return SearchOutcome(status, hit, None, budget.nodes, per_m)
+        dead = not prunes
     certificate = lo <= default_lo and (
-        level is Level.QUALITATIVE and hi >= default_hi
+        dead or level is Level.QUALITATIVE and hi >= default_hi
         or level is Level.FEEBLE and hi >= 2 * sig.n)
     return SearchOutcome("exhausted", None, hi, budget.nodes, per_m,
                          complete_certificate=certificate)

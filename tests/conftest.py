@@ -13,7 +13,7 @@ _acceptance_results = {}
 @pytest.fixture(scope="session")
 def dichromatic_certificate():
     """The {2}, n=3 qualitative search over the default range, run once per
-    session (about 6.2M nodes), with its wall seconds."""
+    session (about 4.2M nodes), with its wall seconds."""
     start = time.monotonic()
     outcome = search(Signature(frozenset({2}), 3), Level.QUALITATIVE)
     return outcome, time.monotonic() - start

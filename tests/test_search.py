@@ -48,12 +48,16 @@ def test_search_dichromatic_nonexistence(dichromatic_certificate):
     assert outcome.status == "exhausted"
     assert outcome.m_max == 12
     assert outcome.complete_certificate
-    # every level of the certificate, past GOLDEN_SEARCHES' m <= 7
+    # every level of the certificate, past GOLDEN_SEARCHES' m <= 7; m=11 is
+    # dead (every 3-colouring of K_11 has a forbidden triangle; the largest
+    # K_m without has 10 vertices, Chung & Graham 1983), so m=12 is skipped
     per_m = _SKIPPED + [(m, "exhausted", nodes) for m, nodes in zip(
-        range(5, 13), (606, 5640, 34422, 163380, 598350, 1391484, 1997670,
-                       1997670))]
+        range(5, 12), (606, 5640, 34422, 163380, 598350, 1391484,
+                       1997670))] + [(12, "skipped", 0)]
     assert [(rec.m, rec.status, rec.nodes) for rec in outcome.per_m] == per_m
-    assert outcome.nodes == 6189222
+    assert outcome.nodes == 4191552
+    assert [rec.m for rec in outcome.per_m
+            if rec.status == "exhausted" and not rec.prunes] == [11]
 
 
 def test_search_strong_finds_pentagon():
@@ -100,10 +104,11 @@ def test_search_budget_abort():
 
 
 def test_search_trichromatic_prunes_large_m():
-    # all edges at a vertex must be distinct, so m > n+1 dies immediately
-    outcome = search(sig((3,), 4), Level.QUALITATIVE)
-    by_m = {rec.m: rec.nodes for rec in outcome.per_m}
-    assert by_m[15] < 200
+    # all edges at a vertex must be distinct, so m > n+1 dies immediately;
+    # search skips m=15, past the dead m=5, so run the kernel on it
+    budget = _Budget(None)
+    assert list(_search_m(sig((3,), 4), Level.QUALITATIVE, 15, budget)) == []
+    assert budget.nodes < 200
 
 
 def test_search_transcript_lines():
@@ -113,7 +118,47 @@ def test_search_transcript_lines():
     assert lines
     for line in lines:
         rec = json.loads(line)
-        assert set(rec) == {"m", "status", "nodes", "seconds"}
+        assert set(rec) == {"m", "status", "nodes", "prunes", "seconds"}
+
+
+def test_search_budget_edge():
+    # {2}, n=3 on m <= 7 takes 40,668 nodes: a budget of exactly that many
+    # exhausts the range, one less aborts on the node past it
+    for budget, status in [(40668, "exhausted"), (40667, "aborted")]:
+        outcome = search(sig((2,), 3), Level.QUALITATIVE, m_range=(2, 7),
+                         node_budget=budget)
+        assert (outcome.status, outcome.nodes) == (status, 40668)
+
+
+@pytest.mark.parametrize("level", list(Level))
+@pytest.mark.parametrize("s", [(2,), (2, 3)])
+def test_dead_m_is_ramsey_number(s, level):
+    # R(3,3) = 6: every 2-colouring of K_6 has a monochromatic triangle,
+    # forbidden when 1 is not in S, so m=6 is dead at every level, while K_5
+    # has the pentagon, reached as 6 labellings
+    budget = _Budget(None)
+    assert list(_search_m(sig(s, 2), level, 6, budget)) == []
+    assert (budget.nodes, budget.prunes) == (162, 0)
+    assert len(list(_search_m(sig(s, 2), level, 5, _Budget(None)))) == 6
+
+
+def test_dead_m_certifies_and_skips():
+    # with S = {3} the edges at a vertex have distinct colours, and K_5 has
+    # no proper 4-edge-colouring nor K_8 a proper 6-edge-colouring
+    for n, dead in [(4, 5), (6, 8)]:
+        outcome = search(sig((3,), n), Level.QUALITATIVE)
+        assert outcome.complete_certificate
+        exhausted = [rec for rec in outcome.per_m if rec.status == "exhausted"]
+        assert (exhausted[-1].m, exhausted[-1].prunes) == (dead, 0)
+        assert all(rec.prunes for rec in exhausted[:-1])
+        assert [(rec.status, rec.nodes) for rec in outcome.per_m
+                if rec.m > dead] == [("skipped", 0)] * (3 * n + 3 - dead)
+    # a dead m certifies at the strong level too, but only from m=2
+    outcome = search(sig((2,), 2), Level.STRONG, m_range=(6, 9))
+    assert not outcome.complete_certificate
+    outcome = search(sig((3,), 4), Level.STRONG, m_range=(2, 6))
+    assert outcome.complete_certificate
+    assert outcome.summary() == "certified nonexistent up to m=6"
 
 
 def test_search_deterministic():
@@ -383,9 +428,10 @@ GOLDEN_SEARCHES = [
      (1, 2, 3, 3, 4, 5, 4, 5, 1, 2)),
     ((2, 3), 3, _Q, None, _SKIPPED + [(5, "found", 48)],
      (1, 1, 2, 1, 2, 3, 3, 1, 2, 3)),
+    # K_5 is dead (no proper 4-edge-colouring), so m = 6..15 are skipped
     ((3,), 4, _Q, None,
-     _SKIPPED[:2] + [(4, "exhausted", 16)]
-     + [(m, "exhausted", 74) for m in range(5, 16)], None),
+     _SKIPPED[:2] + [(4, "exhausted", 16), (5, "exhausted", 74)]
+     + [(m, "skipped", 0) for m in range(6, 16)], None),
     ((2,), 2, _S, None,
      _SKIPPED[:2] + [(4, "exhausted", 30), (5, "found", 26)],
      (1, 1, 2, 2, 1, 2, 2, 2, 1, 1)),
