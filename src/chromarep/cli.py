@@ -258,6 +258,10 @@ def run(argv=None, out=None) -> int:
     except (ValueError, OSError) as exc:
         out.write(f"error: {exc}\n")
         return EXIT_USAGE
+    except MemoryError:
+        # e.g. the pair table of a huge n (ROADMAP item 10)
+        out.write("error: out of memory\n")
+        return EXIT_USAGE
 
 
 def main():  # console entry point

@@ -9,13 +9,12 @@ position by one bound: too few edges left for surjectivity, too few
 triangles for the missing multisets, or a strong leaf's missing witness.
 ``search`` breaks only this colour symmetry; ``enumerate_representations``
 also breaks vertex symmetry, by orderly generation (Read 1978, Faradzev
-1978), whose canonical-prefix test joins the bound.  Three exhaustions
-from m=2 are reported as nonexistence certificates: one that reaches a
-dead m, an m whose search the bound never cut, at any level, which is
-proved (see ``search``); the default range [2, 3(n+1)] at the qualitative
-level, which rests on the range being complete, unproved (ROADMAP.md,
-item 2); and [2, 2n] at the feeble level, which is proved.  Any other
-exhaustion is only a range-limited answer.
+1978), whose canonical-prefix test joins the bound.  An exhaustion from
+m=2 is a nonexistence certificate by one of two proved rules (see
+``search``): it reaches a dead m, an m whose search the bound never cut,
+at any level; or, at the feeble and qualitative levels, it reaches
+``restriction_bound``.  Any other exhaustion is only a range-limited
+answer.
 """
 
 from __future__ import annotations
@@ -74,10 +73,23 @@ class SearchOutcome:
 
 
 def default_m_range(sig: Signature) -> tuple[int, int]:
-    """[2, 3 |atoms|]; qualitative certificates without a dead m assume,
-    unproved, that it is complete for qualitative existence.  It contains
-    [2, 2n], which is proved complete for feeble existence."""
+    """[2, 3 |atoms|]: the vertex counts ``search`` tries when given no
+    range, and the largest m ``enumerate_representations`` accepts.  It
+    decides no certificate (see ``restriction_bound``)."""
     return 2, 3 * (sig.n + 1)
+
+
+def restriction_bound(sig: Signature, level: Level) -> int:
+    """The vertex count within which every feeble or qualitative
+    representation restricts to one: 3|R| plus 2 for each colour in no
+    multiset of R, where R is ``required_multisets(sig)`` at the
+    qualitative level and empty at the feeble level, so 2n there (the proof
+    is in ``search``).  The strong level has no such bound."""
+    if level is Level.STRONG:
+        raise ValueError("the strong level has no restriction bound")
+    multisets = required_multisets(sig) if level is Level.QUALITATIVE else ()
+    covered = {c for t in multisets for c in t}
+    return 3 * len(multisets) + 2 * (sig.n - len(covered))
 
 
 class _Budget:
@@ -280,25 +292,26 @@ def search(sig: Signature, level: Level, m_range=None,
 
     Vertex counts are tried in ascending order; budget exhaustion always
     reports "aborted", never nonexistence.  Exhausting a range from m=2 is a
-    nonexistence certificate in three cases:
+    nonexistence certificate by two rules:
 
     - at any level, when some m is dead: its search was exhausted and its
       bound refused no entry, so every colouring of K_m in at most n
       colours has a forbidden triangle.  Forbidden-freeness is hereditary,
       so no representation, finite or infinite, has m vertices or more, and
       each larger m in the range is recorded as "skipped" and not searched;
-    - qualitative, when the range covers the default one, assumed (unproved)
-      complete;
-    - feeble, when the range reaches 2n.  Pick one edge of each colour of a
-      feeble representation.  The complete graph induced on their at most
-      2n endpoints still uses every colour and has no forbidden triangle,
-      so it is a feeble representation on 2..2n vertices.
+    - feeble or qualitative, when the range reaches ``restriction_bound``.
+      Take a representation.  Pick one triangle realising each multiset of
+      R (none at the feeble level) and one edge of each remaining colour.
+      Forbidden-freeness and realised multisets are inherited by induced
+      subgraphs, and every colour is used, so the K_k induced on the chosen
+      vertices, 2 <= k <= the bound, is a representation at the same level,
+      and the search from m=2 would have found it.
 
-    Strong exhaustion certifies nothing without a dead m.  An empty range or
-    a negative budget raises ValueError.
+    Strong witnesses are not inherited by induced subgraphs, so the strong
+    level has no restriction bound and certifies only at a dead m.  An
+    empty range or a negative budget raises ValueError.
     """
-    default_lo, default_hi = default_m_range(sig)
-    lo, hi = m_range if m_range is not None else (default_lo, default_hi)
+    lo, hi = m_range if m_range is not None else default_m_range(sig)
     if lo > hi:
         raise ValueError(f"empty vertex range {lo}..{hi}")
     budget = _Budget(node_budget)
@@ -324,9 +337,8 @@ def search(sig: Signature, level: Level, m_range=None,
         if status in ("found", "aborted"):
             return SearchOutcome(status, hit, None, budget.nodes, per_m)
         dead = not prunes
-    certificate = lo <= default_lo and (
-        dead or level is Level.QUALITATIVE and hi >= default_hi
-        or level is Level.FEEBLE and hi >= 2 * sig.n)
+    certificate = lo <= 2 and (dead or level is not Level.STRONG
+                               and hi >= restriction_bound(sig, level))
     return SearchOutcome("exhausted", None, hi, budget.nodes, per_m,
                          complete_certificate=certificate)
 

@@ -174,6 +174,18 @@ def test_search_certified_nonexistent(monkeypatch, dichromatic_certificate):
     assert lines[-1] == "certified nonexistent up to m=12"
 
 
+def test_out_of_memory_is_one_error_line(monkeypatch):
+    # a huge n can exhaust memory in the search's set-up; that ends in one
+    # line, not a traceback
+    def stub(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr("chromarep.cli.search", stub)
+    code, out = run_cli("search", "--s", "2", "--n", "99999999999",
+                        "--level", "feeble", "--budget-nodes", "1")
+    assert (code, out) == (1, "error: out of memory\n")
+
+
 def test_search_found_writes_file(tmp_path):
     target = tmp_path / "found.json"
     code, out = run_cli("search", "--s", "3", "--n", "3",

@@ -13,7 +13,7 @@ from chromarep.colouring import (EdgeColouring, Level, VerificationReport,
 from chromarep.constructions import pentagon
 from chromarep.search import (_Budget, _pair_table, _search_m,
                               default_m_range, enumerate_representations,
-                              search)
+                              restriction_bound, search)
 
 from helpers import ALL_S, sig
 
@@ -88,6 +88,45 @@ def test_search_feeble_certificate_from_2n_bound():
             assert outcome.complete_certificate, (s, m_range)
         outcome = search(sig(s, 2), Level.FEEBLE, m_range=(3, 9))
         assert not outcome.complete_certificate
+
+
+def test_restriction_bound_values():
+    for s in ALL_S:
+        for n in range(1, 7):
+            assert restriction_bound(sig(s, n), Level.FEEBLE) == 2 * n
+    for s, n, bound in [((1, 3), 2, 6), ((1, 3), 3, 12), ((2,), 3, 18)]:
+        assert restriction_bound(sig(s, n), Level.QUALITATIVE) == bound
+    for n in range(1, 7):
+        assert restriction_bound(sig((1,), n), Level.QUALITATIVE) == 3 * n
+    with pytest.raises(ValueError):
+        restriction_bound(sig((1,), 3), Level.STRONG)
+
+
+@pytest.mark.parametrize("s, n, m_range, certified", [
+    ((1,), 3, (2, 9), True), ((1,), 3, (2, 8), False),
+    ((1,), 3, (3, 9), False),
+    ((1, 3), 2, (2, 6), True), ((1, 3), 2, (2, 5), False)])
+def test_qualitative_certificate_at_restriction_bound(s, n, m_range,
+                                                      certified):
+    # with 1 in S a monochromatic K_m is forbidden-free, so no m is dead and
+    # only the range reaching the bound (9 and 6 here) certifies
+    outcome = search(sig(s, n), Level.QUALITATIVE, m_range=m_range)
+    assert outcome.status == "exhausted"
+    assert outcome.complete_certificate is certified
+
+
+def test_default_range_short_of_the_bound_is_range_limited(monkeypatch):
+    # a kernel that refuses an entry at every m never finds a dead m, and
+    # {2}, n=4 has bound 36, past the default range's 15
+    def stub(sig, level, m, budget):
+        budget.nodes += 1
+        budget.prunes += 1
+        yield from ()
+
+    monkeypatch.setattr(importlib.import_module("chromarep.search"),
+                        "_search_m", stub)
+    outcome = search(sig((2,), 4), Level.QUALITATIVE)
+    assert outcome.summary() == "none found (range-limited) up to m=15"
 
 
 def test_search_range_limited_no_certificate():
