@@ -8,7 +8,7 @@ composition and the associativity scan stay cheap.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import cache
 from itertools import product
 
@@ -47,24 +47,35 @@ def _json_object(text: str, what: str, *keys: str) -> dict:
     return doc
 
 
-@dataclass(frozen=True)
-class Signature:
+def checked_tuple(name: str, fields: str):
+    """A namedtuple base for a type that checks its fields in ``__new__``.
+
+    ``_make``, and so ``_replace``, build through the subclass's
+    ``__new__`` instead of ``tuple.__new__``, so no path skips the checks.
+    Each subclass sets ``__slots__ = ()`` to stay read-only.
+    """
+    base = namedtuple(name, fields)
+    base._make = classmethod(lambda cls, values: cls(*values))
+    return base
+
+
+class Signature(checked_tuple("Signature", "s_set n")):
     """A chromatic algebra selector: consistent triangle types S and the
     number n of proper colours."""
 
-    s_set: frozenset
-    n: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        s = tuple(self.s_set)  # checked first: a set merges 2.0 into 2
+    def __new__(cls, s_set, n):
+        s = tuple(s_set)  # checked first: a set merges 2.0 into 2
         for t in s:
             _require_int(t, "triangle type")
-        object.__setattr__(self, "s_set", frozenset(s))
-        _require_int(self.n, "the number of colours n")
-        if not self.s_set <= {1, 2, 3}:
+        _require_int(n, "the number of colours n")
+        s_set = frozenset(s)
+        if not s_set <= {1, 2, 3}:
             raise ValueError("triangle types must lie in {1,2,3}")
-        if self.n < 1:
+        if n < 1:
             raise ValueError("need at least one proper colour")
+        return super().__new__(cls, s_set, n)
 
     @property
     def forbidden(self) -> frozenset:
@@ -112,33 +123,31 @@ def witness_pairs(sig) -> tuple:
                  for c in range(sig.n + 1))
 
 
-@dataclass(frozen=True)
-class AtomStructure:
+class AtomStructure(checked_tuple("AtomStructure",
+                                  "atom_count converse identity triples")):
     """Atoms with converse, identity set and consistent-triple set.
 
     Immutable; ``triples`` membership is O(1), which is what composition
     and the closure checks lean on.
     """
 
-    atom_count: int
-    converse: tuple
-    identity: frozenset
-    triples: frozenset
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.converse) != self.atom_count:
+    def __new__(cls, atom_count, converse, identity, triples):
+        if len(converse) != atom_count:
             raise ValueError("converse must cover every atom")
-        for a in range(self.atom_count):
-            if not 0 <= self.converse[a] < self.atom_count:
+        for a in range(atom_count):
+            if not 0 <= converse[a] < atom_count:
                 raise ValueError(f"converse of atom {a} is no atom")
-            if self.converse[self.converse[a]] != a:
+            if converse[converse[a]] != a:
                 raise ValueError(f"converse is not self-inverse at atom {a}")
-        for e in self.identity:
-            if not 0 <= e < self.atom_count:
+        for e in identity:
+            if not 0 <= e < atom_count:
                 raise ValueError(f"identity atom {e} is no atom")
-        for t in self.triples:
-            if len(t) != 3 or not all(0 <= a < self.atom_count for a in t):
+        for t in triples:
+            if len(t) != 3 or not all(0 <= a < atom_count for a in t):
                 raise ValueError(f"triple {t} out of range")
+        return super().__new__(cls, atom_count, converse, identity, triples)
 
     def conv(self, a: int) -> int:
         if not 0 <= a < self.atom_count:
@@ -195,13 +204,9 @@ def chromatic_atoms(sig: Signature) -> AtomStructure:
                          frozenset(triples))
 
 
-@dataclass
-class AtomStructureReport:
-    valid: bool
-    identity_violations: list = field(default_factory=list)
-    closure_violations: list = field(default_factory=list)
-    identity_total: int = 0
-    closure_total: int = 0
+AtomStructureReport = namedtuple(
+    "AtomStructureReport", "valid identity_violations closure_violations "
+    "identity_total closure_total", defaults=([], [], 0, 0))
 
 
 def check_na_atom_structure(structure: AtomStructure) -> AtomStructureReport:

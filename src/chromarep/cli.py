@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass
+from collections import namedtuple
 
 from .algebra import Signature
 from .colouring import EdgeColouring, Level, verify
@@ -188,11 +188,9 @@ def cmd_witness(args, out):
     return EXIT_OK
 
 
-@dataclass
-class TableCell:
-    status: str  # Constructed | FoundBySearch | CertifiedNonexistent |
-    #              OutOfScope | Unknown
-    detail: str = ""
+# status: Constructed | FoundBySearch | CertifiedNonexistent | OutOfScope |
+# Unknown
+TableCell = namedtuple("TableCell", "status detail", defaults=("",))
 
 
 def certify_summary_row(s_set, n_range):
@@ -231,7 +229,7 @@ def cmd_table(args, out):
         cells = certify_summary_row(s, range(1, args.max_n + 1))
         row = rows["{" + ",".join(str(x) for x in sorted(s)) + "}"] = {}
         for (n, level), cell in cells.items():
-            row.setdefault(f"n={n}", {})[level.value] = asdict(cell)
+            row.setdefault(f"n={n}", {})[level.value] = cell._asdict()
     out.write(json.dumps(rows, indent=2, sort_keys=True) + "\n")
     return EXIT_OK
 

@@ -10,12 +10,12 @@ of the triangles the colouring realises.
 from __future__ import annotations
 
 import json
-from collections import Counter
-from dataclasses import dataclass, field
+from collections import Counter, namedtuple
 from enum import Enum
 
 from .algebra import (MAX_WITNESSES, _int_rows, _json_object, _require_int,
-                      required_multisets, triangle_table, witness_pairs)
+                      checked_tuple, required_multisets, triangle_table,
+                      witness_pairs)
 
 
 class Level(Enum):
@@ -43,30 +43,28 @@ def edge_list(m: int) -> list[tuple[int, int]]:
     return [(i, j) for j in range(m) for i in range(j)]
 
 
-@dataclass(frozen=True)
-class EdgeColouring:
+class EdgeColouring(checked_tuple("EdgeColouring", "m n colours")):
     """Symmetric proper-colour assignment on the edges of K_m.
 
     ``colours`` holds one entry per edge in enumeration order.  Instances
     are immutable, so callers may share them freely.
     """
 
-    m: int
-    n: int
-    colours: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.m < 1:
+    def __new__(cls, m, n, colours):
+        if m < 1:
             raise ValueError("need at least one vertex")
-        if self.n < 1:
+        if n < 1:
             raise ValueError("need at least one colour")
-        expected = self.m * (self.m - 1) // 2
-        if len(self.colours) != expected:
+        expected = m * (m - 1) // 2
+        if len(colours) != expected:
             raise ValueError(
-                f"expected {expected} edge colours, got {len(self.colours)}")
-        for c in self.colours:
-            if not 1 <= c <= self.n:
-                raise ValueError(f"colour {c} outside 1..{self.n}")
+                f"expected {expected} edge colours, got {len(colours)}")
+        for c in colours:
+            if not 1 <= c <= n:
+                raise ValueError(f"colour {c} outside 1..{n}")
+        return super().__new__(cls, m, n, colours)
 
     @classmethod
     def from_function(cls, m: int, n: int, colour_of) -> "EdgeColouring":
@@ -171,20 +169,20 @@ def classify_triangle(col: EdgeColouring, x: int, y: int, z: int) -> int:
     return len({col.colour(x, y), col.colour(y, z), col.colour(x, z)})
 
 
-@dataclass
-class VerificationReport:
-    level_requested: Level
-    passed: bool
-    surjective: bool
-    # (vertex triple, colour triple) for triangles whose type is forbidden
-    forbidden_witnesses: list = field(default_factory=list)
-    forbidden_total: int = 0
-    # sorted colour multisets required but never realised
-    missing_required: list = field(default_factory=list)
-    # ((x, y), (a, b, c)) with no witness vertex; (v, v), (a, a, 0) marks a
-    # vertex not incident to colour a (the identity-triple witness condition)
-    strong_failures: list = field(default_factory=list)
-    strong_total: int = 0
+class VerificationReport(namedtuple(
+        "VerificationReport", "level_requested passed surjective "
+        "forbidden_witnesses forbidden_total missing_required "
+        "strong_failures strong_total", defaults=([], 0, [], [], 0))):
+    """What ``verify`` found.
+
+    ``forbidden_witnesses``: (vertex triple, colour triple) for triangles
+    whose type is forbidden.  ``missing_required``: sorted colour multisets
+    required but never realised.  ``strong_failures``: ((x, y), (a, b, c))
+    with no witness vertex; (v, v), (a, a, 0) marks a vertex not incident
+    to colour a (the identity-triple witness condition).
+    """
+
+    __slots__ = ()
 
     def summary(self) -> str:
         if self.passed:
@@ -300,27 +298,25 @@ def verify(col: EdgeColouring, sig, level: Level) -> VerificationReport:
     """
     if col.n != sig.n:
         raise ValueError(f"colouring has {col.n} colours, signature wants {sig.n}")
-    report = VerificationReport(level_requested=level, passed=False,
-                                surjective=len(col.used_colours()) == sig.n)
+    surjective = len(col.used_colours()) == sig.n
     rows = colour_rows(col.m, col.colours)
-    (report.forbidden_total, report.forbidden_witnesses,
-     realized) = triangle_scan(rows, sig)
-
+    forbidden_total, forbidden_witnesses, realized = triangle_scan(rows, sig)
+    missing = []
     if level is not Level.FEEBLE:
-        report.missing_required = [
-            t for k, t in enumerate(required_multisets(sig)) if k not in realized]
-
+        missing = [t for k, t in enumerate(required_multisets(sig))
+                   if k not in realized]
+    strong_total, strong_failures = 0, []
     if level is Level.STRONG:
         for failure in unwitnessed(neighbour_masks(rows, sig.n),
                                    col.colours, sig):
-            report.strong_total += 1
-            if len(report.strong_failures) < MAX_WITNESSES:
-                report.strong_failures.append(failure)
-
-    report.passed = (report.surjective and report.forbidden_total == 0
-                     and not report.missing_required
-                     and report.strong_total == 0)
-    return report
+            strong_total += 1
+            if len(strong_failures) < MAX_WITNESSES:
+                strong_failures.append(failure)
+    passed = (surjective and forbidden_total == 0 and not missing
+              and strong_total == 0)
+    return VerificationReport(level, passed, surjective, forbidden_witnesses,
+                              forbidden_total, missing, strong_failures,
+                              strong_total)
 
 
 def chromatic_degree(col: EdgeColouring, v: int) -> int:

@@ -8,7 +8,7 @@ request.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .algebra import Signature
 from .colouring import EdgeColouring, Level, cayley, verify
@@ -17,17 +17,12 @@ from .geometry import (affine_plane, colouring_from_parallelism, drop_points,
 from .quasigroup import lambda2, standard_qn
 
 
-@dataclass(frozen=True)
-class NotConstructible:
-    reason: str
-    # True when the reason is a nonexistence result rather than a gap in
-    # what this library builds
-    nonexistent: bool = False
+# nonexistent: True when the reason is a nonexistence result rather than a
+# gap in what this library builds
+NotConstructible = namedtuple("NotConstructible", "reason nonexistent",
+                              defaults=(False,))
 
-
-@dataclass(frozen=True)
-class DelegatedToSearch:
-    reason: str
+DelegatedToSearch = namedtuple("DelegatedToSearch", "reason")
 
 
 def wrap_colour(n: int, x: int) -> int:

@@ -32,24 +32,26 @@ indices aside, iff their colourings are.
 from __future__ import annotations
 
 import json
-from collections import Counter
-from dataclasses import dataclass, field
+from collections import Counter, namedtuple
 from itertools import combinations
 from math import isqrt
 
-from .algebra import Signature, _int_rows, _json_object, _require_int
+from .algebra import (Signature, _int_rows, _json_object, _require_int,
+                      checked_tuple)
 from .colouring import EdgeColouring, cayley, colour_rows, triangle_scan
 
 
-@dataclass(frozen=True)
-class LinearSpace:
-    point_count: int
-    lines: tuple  # tuple of frozensets of points
+class LinearSpace(checked_tuple("LinearSpace", "point_count lines")):
+    """Points 0..point_count-1 and ``lines``, a tuple of frozensets of
+    points."""
 
-    def __post_init__(self):
-        for line in self.lines:
-            if not all(0 <= p < self.point_count for p in line):
+    __slots__ = ()
+
+    def __new__(cls, point_count, lines):
+        for line in lines:
+            if not all(0 <= p < point_count for p in line):
                 raise ValueError("line contains an unknown point")
+        return super().__new__(cls, point_count, lines)
 
     def to_json(self, parallelism=None) -> str:
         doc = {"points": self.point_count,
@@ -70,55 +72,46 @@ class LinearSpace:
         return sp
 
 
-@dataclass(frozen=True)
-class Parallelism:
-    blocks: tuple  # tuple of tuples of line indices
+# blocks: a tuple of tuples of line indices
+Parallelism = namedtuple("Parallelism", "blocks")
 
-
-@dataclass
-class SpaceReport:
-    valid: bool
-    uncovered_pairs: list = field(default_factory=list)
-    multi_covered_pairs: list = field(default_factory=list)
-    short_lines: list = field(default_factory=list)
+SpaceReport = namedtuple(
+    "SpaceReport", "valid uncovered_pairs multi_covered_pairs short_lines",
+    defaults=([], [], []))
 
 
 def validate_space(sp: LinearSpace) -> SpaceReport:
     """Check the three linear-space axioms, with witnesses."""
-    report = SpaceReport(valid=True, short_lines=[
-        idx for idx, line in enumerate(sp.lines) if len(line) < 2])
+    short = [idx for idx, line in enumerate(sp.lines) if len(line) < 2]
     cover = Counter(pair for line in sp.lines  # lines through each pair
                     for pair in combinations(sorted(line), 2))
+    uncovered, multi = [], []
     for pair in combinations(range(sp.point_count), 2):
         if not cover[pair]:
-            report.uncovered_pairs.append(pair)
+            uncovered.append(pair)
         elif cover[pair] > 1:  # two lines through it meet twice
-            report.multi_covered_pairs.append(pair)
-    report.valid = not (report.uncovered_pairs or report.multi_covered_pairs
-                        or report.short_lines)
-    return report
+            multi.append(pair)
+    return SpaceReport(not (uncovered or multi or short), uncovered, multi,
+                       short)
 
 
-@dataclass
-class ParallelismReport:
-    valid: bool
-    not_a_partition: bool = False
-    crossing_pairs: list = field(default_factory=list)
+ParallelismReport = namedtuple(
+    "ParallelismReport", "valid not_a_partition crossing_pairs",
+    defaults=(False, []))
 
 
 def validate_parallelism(sp: LinearSpace, pw: Parallelism) -> ParallelismReport:
-    report = ParallelismReport(valid=True)
     seen = [idx for block in pw.blocks for idx in block]
-    if sorted(seen) != list(range(len(sp.lines))):
-        report.not_a_partition = True
+    not_a_partition = sorted(seen) != list(range(len(sp.lines)))
+    crossing = []
     for block in pw.blocks:
         # indices that name no line are already not_a_partition
         named = sorted(i for i in block if 0 <= i < len(sp.lines))
         for i, j in combinations(named, 2):
             if sp.lines[i] & sp.lines[j]:
-                report.crossing_pairs.append((i, j))
-    report.valid = not (report.not_a_partition or report.crossing_pairs)
-    return report
+                crossing.append((i, j))
+    return ParallelismReport(not (not_a_partition or crossing),
+                             not_a_partition, crossing)
 
 
 def near_pencil(n: int):

@@ -7,26 +7,26 @@ corresponds to edge colour k+1, so public colourings always use {1..n}.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from collections import namedtuple
 from itertools import combinations, product
 
-from .algebra import Signature, _int_rows, _json_object, _require_int
+from .algebra import (Signature, _int_rows, _json_object, _require_int,
+                      checked_tuple)
 from .colouring import EdgeColouring, Level, verify
 
 
-@dataclass(frozen=True)
-class Quasigroup:
+class Quasigroup(checked_tuple("Quasigroup", "order table")):
     """An order-n Cayley table over {0..n-1}."""
 
-    order: int
-    table: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.table) != self.order:
+    def __new__(cls, order, table):
+        if len(table) != order:
             raise ValueError("table must have one row per element")
-        for row in self.table:
-            if len(row) != self.order:
+        for row in table:
+            if len(row) != order:
                 raise ValueError("table rows must have order entries")
+        return super().__new__(cls, order, table)
 
     def mul(self, i: int, j: int) -> int:
         return self.table[i][j]
@@ -43,32 +43,27 @@ class Quasigroup:
         return cls(doc["order"], _int_rows(doc["table"], "table row"))
 
 
-@dataclass
-class QuasigroupReport:
-    valid: bool
-    latin_violations: list = field(default_factory=list)
-    commutativity_violations: list = field(default_factory=list)
-    idempotency_violations: list = field(default_factory=list)
+QuasigroupReport = namedtuple(
+    "QuasigroupReport", "valid latin_violations commutativity_violations "
+    "idempotency_violations", defaults=([], [], []))
 
 
 def validate(q: Quasigroup) -> QuasigroupReport:
     """Check the Latin, commutative and idempotent properties with witnesses."""
-    report = QuasigroupReport(valid=True)
+    latin, commutativity, idempotency = [], [], []
     full = set(range(q.order))
     for i in range(q.order):
         if set(q.table[i]) != full:
-            report.latin_violations.append(("row", i))
+            latin.append(("row", i))
         if {q.table[j][i] for j in range(q.order)} != full:
-            report.latin_violations.append(("column", i))
+            latin.append(("column", i))
         if q.table[i][i] != i:
-            report.idempotency_violations.append((i, i))
+            idempotency.append((i, i))
         for j in range(i + 1, q.order):
             if q.table[i][j] != q.table[j][i]:
-                report.commutativity_violations.append((i, j))
-    report.valid = not (report.latin_violations
-                        or report.commutativity_violations
-                        or report.idempotency_violations)
-    return report
+                commutativity.append((i, j))
+    return QuasigroupReport(not (latin or commutativity or idempotency),
+                            latin, commutativity, idempotency)
 
 
 def standard_qn(n: int) -> Quasigroup:

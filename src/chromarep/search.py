@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 import sys
 import time
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import cache
 from math import comb
 
@@ -36,24 +36,20 @@ class BudgetExceeded(Exception):
     pass
 
 
-@dataclass
-class PerM:
-    m: int
-    status: str  # "found" | "exhausted" | "aborted" | "skipped"
-    nodes: int
-    prunes: int  # entries the bound refused; 0 on an exhausted m: dead
-    seconds: float
+# status: "found" | "exhausted" | "aborted" | "skipped"; prunes: entries
+# the bound refused, 0 on an exhausted m: dead
+PerM = namedtuple("PerM", "m status nodes prunes seconds")
 
 
-@dataclass
-class SearchOutcome:
-    status: str  # "found" | "exhausted" | "aborted"
-    colouring: EdgeColouring | None
-    m_max: int | None
-    nodes: int
-    per_m: list = field(default_factory=list)
-    # True when the exhausted range certifies nonexistence (see search)
-    complete_certificate: bool = False
+class SearchOutcome(namedtuple(
+        "SearchOutcome", "status colouring m_max nodes per_m "
+        "complete_certificate", defaults=([], False))):
+    """``status`` is "found", "exhausted" or "aborted"; ``colouring`` the
+    found EdgeColouring or None; ``m_max`` the last m of an exhausted range
+    or None; ``per_m`` a list of PerM records; ``complete_certificate``
+    True when the exhausted range certifies nonexistence (see search)."""
+
+    __slots__ = ()
 
     def summary(self) -> str:
         """The verdict in one line; every front end words it this way."""

@@ -9,6 +9,9 @@ from chromarep.algebra import (AtomStructure, Signature,
                                check_na_atom_structure, chromatic_atoms,
                                compose, is_associative, peircean_transforms,
                                required_multisets, triangle_table)
+from chromarep.colouring import EdgeColouring
+from chromarep.geometry import LinearSpace
+from chromarep.quasigroup import Quasigroup
 
 from helpers import ALL_S, sig
 
@@ -208,3 +211,29 @@ def test_atom_structure_json_round_trip():
 def test_atom_structure_json_rejects_malformed(doc, message):
     with pytest.raises(ValueError, match=message):
         AtomStructure.from_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize("value, bad, message", [
+    (sig((2,), 3), {"n": 0}, "need at least one proper colour"),
+    (sig((2,), 3), {"s_set": frozenset({4})}, "triangle types must lie in"),
+    (chromatic_atoms(sig((2,), 2)), {"converse": (0,)},
+     "converse must cover every atom"),
+    (EdgeColouring(2, 1, (1,)), {"colours": (9,)}, "colour 9 outside 1..1"),
+    (LinearSpace(3, (frozenset({0, 1, 2}),)), {"lines": (frozenset({5}),)},
+     "line contains an unknown point"),
+    (Quasigroup(1, ((0,),)), {"table": ()},
+     "table must have one row per element"),
+])
+def test_checked_types_stay_checked_and_read_only(value, bad, message):
+    # _replace and _make build through the type's own checks
+    with pytest.raises(ValueError, match=message):
+        value._replace(**bad)
+    fields = value._asdict() | bad
+    with pytest.raises(ValueError, match=message):
+        type(value)._make(fields[name] for name in value._fields)
+    again = value._replace()
+    assert type(again) is type(value) and again == value
+    for name in value._fields + ("extra",):
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+    assert not hasattr(value, "__dict__")

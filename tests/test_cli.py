@@ -339,11 +339,26 @@ def test_usage_errors(capsys):
         assert run_cli(*argv)[0] == 1, argv
 
 
+def src_env():
+    """The environment with this checkout's ``src`` first on PYTHONPATH."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
+def test_cli_import_skips_dataclasses():
+    # building dataclasses, and importing the module, was most of the
+    # command's start-up time; the value types are named tuples
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, chromarep.cli; print('dataclasses' in sys.modules)"],
+        env=src_env(), capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout) == (0, "False\n"), done.stderr
+
+
 def test_module_entry_point_runs_without_warning():
     # runpy warns when the package root has already imported chromarep.cli
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    env = src_env()
     done = subprocess.run(
         [sys.executable, "-W", "error::RuntimeWarning", "-m", "chromarep.cli",
          "witness", "--walecki-n", "3", "--triple", "1,2,3"],
@@ -355,9 +370,7 @@ def test_module_entry_point_runs_without_warning():
 def test_feeble_search_setup_is_bounded_by_the_budget():
     # the feeble pair table has (n+1)² entries and no multiset fields, so a
     # budgeted feeble search at n=200 ends at once, in little memory
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    env = src_env()
     child = ("import resource, sys\n"
              "from chromarep.cli import run\n"
              "code = run(sys.argv[1:], out=sys.stdout)\n"

@@ -3,7 +3,6 @@
 import json
 import random
 import tracemalloc
-from dataclasses import asdict
 from itertools import combinations, permutations, product
 from pathlib import Path
 
@@ -336,7 +335,7 @@ def golden_colourings():
 
 def report_record(report):
     """Every field of a report, in JSON form."""
-    record = asdict(report)
+    record = report._asdict()
     record["level_requested"] = report.level_requested.value
     return json.loads(json.dumps(record))
 
