@@ -394,12 +394,11 @@ def _least_code(rows, bound=None, target=None):
     first, as a best leaf is, so the automorphisms and backjumps that later
     leaves give stay sound.
 
-    Given ``target``, the least code of some colouring, the search runs
-    as without it but returns its best code as soon as that is at or below
-    ``target``.  The result equals ``target`` exactly when the least code
-    does: a code equal to ``target`` makes this colouring a relabelling of
-    that one, so their least codes agree, and a code below ``target`` puts
-    the least code below it too.
+    Given ``target``, a list of rows such as another colouring's code, the
+    search runs as without it but returns its best code as soon as that is
+    at or below ``target``.  So the result is either the first code at or
+    below ``target`` the search reaches, or, when no code is, the least
+    code, which then lies above ``target``.
     """
     m = len(rows)
 
@@ -510,17 +509,28 @@ def are_isomorphic(a: EdgeColouring, b: EdgeColouring) -> bool:
     """Whether a vertex and a colour permutation carry ``a`` onto ``b``.
 
     The sorted colour-class sizes are compared first.  Only when those
-    agree is the least code searched for, which can cost as much as a
-    maximum clique on rigid inputs: ``a``'s in full, as its canonical
-    form, and then ``b``'s with ``a``'s as the target, a search that stops
-    at its first code at or below that target.
+    agree are codes searched for, which can cost as much as a maximum
+    clique on rigid inputs.  Colourings that share any code are
+    relabellings of each other.  T is ``a``'s first code, the one its
+    search reaches without backtracking, and ``b`` is searched with T as
+    the target (see ``_least_code``).  The code found decides the question
+    unless it lies below T: equal to T means isomorphic; above T means
+    ``b``'s least code is above T, so above ``a``'s, and not isomorphic.
+    Only below T is ``a``'s least code searched in full, and ``b`` again
+    with it as the target, where a code below it puts ``b``'s least code
+    below ``a``'s.
     """
     if a.m != b.m or a.n != b.n:
         return False
     if sorted(Counter(a.colours).values()) \
             != sorted(Counter(b.colours).values()):
         return False
-    form = canonical_form(a).colours
-    target = [list(form[k * (k - 1) // 2:k * (k + 1) // 2])
-              for k in range(a.m)]
-    return _least_code(colour_rows(b.m, b.colours), target=target) == target
+    rows_a, rows_b = colour_rows(a.m, a.colours), colour_rows(b.m, b.colours)
+    # every code opens with the empty row, so lies below [[1]]: the search
+    # stops at its first leaf
+    target = _least_code(rows_a, target=[[1]])
+    found = _least_code(rows_b, target=target)
+    if found < target:
+        target = _least_code(rows_a)
+        found = _least_code(rows_b, target=target)
+    return found == target

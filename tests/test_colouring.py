@@ -3,6 +3,7 @@
 import json
 import random
 import tracemalloc
+from collections import Counter
 from itertools import combinations, permutations, product
 from pathlib import Path
 
@@ -595,9 +596,28 @@ def test_are_isomorphic_basics():
     assert not are_isomorphic(pentagon(), EdgeColouring(5, 2, (1,) * 10))
 
 
-def test_are_isomorphic_matches_canonical_forms():
+def counting_searches(monkeypatch):
+    """Route ``are_isomorphic``'s searches through a wrapper, and return
+    the list it appends each call's (whether targeted, result) to."""
+    from chromarep import colouring
+
+    searches = []
+    least_code = colouring._least_code
+
+    def counting(rows, bound=None, target=None):
+        found = least_code(rows, bound, target)
+        searches.append((target is not None, found))
+        return found
+
+    monkeypatch.setattr(colouring, "_least_code", counting)
+    return searches
+
+
+def test_are_isomorphic_matches_canonical_forms(monkeypatch):
     # every 2-colouring of K_5 and every 3-colouring of K_4, against one
     # representative of each class
+    searches = counting_searches(monkeypatch)
+    outcomes = Counter()
     for m, n in [(5, 2), (4, 3)]:
         cols = [EdgeColouring(m, n, colours) for colours in
                 product(range(1, n + 1), repeat=m * (m - 1) // 2)]
@@ -607,7 +627,13 @@ def test_are_isomorphic_matches_canonical_forms():
             reps.setdefault(canon[col], col)
         for col in cols:
             for form, rep in reps.items():
-                assert are_isomorphic(col, rep) == (canon[col] == form), col
+                searches.clear()
+                verdict = are_isomorphic(col, rep)
+                assert verdict == (canon[col] == form), col
+                # two searches when a's first code decides, four when not
+                if searches:
+                    outcomes[verdict if len(searches) == 2 else None] += 1
+    assert set(outcomes) == {True, False, None}, outcomes
 
 
 def test_are_isomorphic_agrees_with_canonical_forms_on_seeded_pairs():
@@ -631,26 +657,31 @@ def test_are_isomorphic_agrees_with_canonical_forms_on_seeded_pairs():
     for a, b in pairs:
         same = canonical_form(a).colours == canonical_form(b).colours
         assert are_isomorphic(a, b) == same, (a, b)
+        # a's side is searched first, so swap the sides too
+        assert are_isomorphic(b, a) == same, (b, a)
         verdicts.add(same)
     assert verdicts == {False, True}
 
 
-def test_are_isomorphic_searches_once_then_to_target(monkeypatch):
-    from chromarep import colouring
-
-    searches = []
-    least_code = colouring._least_code
-
-    def counting(rows, bound=None, target=None):
-        searches.append((bound, target))
-        return least_code(rows, bound, target)
-
-    monkeypatch.setattr(colouring, "_least_code", counting)
-    col = construct(sig((1, 3), 6), Level.STRONG)            # AG(2, 5)
+def test_are_isomorphic_targets_first_code_then_least(monkeypatch):
+    searches = counting_searches(monkeypatch)
+    col = construct(sig((1, 3), 4), Level.STRONG)            # AG(2, 3)
     assert are_isomorphic(col, relabel(col, random.Random(3)))
-    # one untargeted search (a's canonical form), then one targeted (b's)
-    assert [(bound, target is not None) for bound, target in searches] \
-        == [(None, False), (None, True)]
+    # a's first code, then b's search to it, which finds it
+    assert [targeted for targeted, _ in searches] == [True, True]
+    assert searches[1][1] == searches[0][1]
+
+    col = construct(sig((1, 3), 6), Level.STRONG)            # AG(2, 5)
+    form = canonical_form(col).colours
+    searches.clear()
+    assert are_isomorphic(col, relabel(col, random.Random(3)))
+    # b's search finds a code below a's first code, so a's least code is
+    # searched in full, then b's search to it
+    assert [targeted for targeted, _ in searches] == [True, True, False, True]
+    assert searches[1][1] < searches[0][1]
+    least = searches[2][1]
+    assert tuple(x for row in least for x in row) == form
+    assert searches[3][1] == least
 
 
 def test_are_isomorphic_refutes_by_class_sizes(monkeypatch):

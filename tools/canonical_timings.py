@@ -26,9 +26,12 @@ The ``are_isomorphic`` cases, one call each:
 
 - ``are_isomorphic(random2(30))`` and ``are_isomorphic(AG(2,7))``: the
   colouring against a seeded relabelling, verdict True;
-- ``are_isomorphic(random2(30), swap)``: ``random2(30)`` against itself
-  with its first edges of colours 1 and 2 swapped, which keeps the
-  colour-class sizes; verdict False.
+- ``are_isomorphic(random2(30), swap)`` and
+  ``are_isomorphic(AG(2,7), swap)``: the colouring against itself with its
+  first edges of colours 1 and 2 swapped, which keeps the colour-class
+  sizes; verdict False.  The AG(2,7) pair is symmetric but not
+  isomorphic, the case where a first code that is not least costs
+  ``are_isomorphic`` the most.
 """
 
 from __future__ import annotations
@@ -50,7 +53,8 @@ CYCLOTOMIC = {41: 4, 71: 5, 97: 6, 73: 4, 131: 5, 181: 6}
 # are_isomorphic case: (colouring, whether its partner is a relabelling)
 ISOMORPHISM = {"are_isomorphic(random2(30))": ("random2(30)", True),
                "are_isomorphic(AG(2,7))": ("AG(2,7)", True),
-               "are_isomorphic(random2(30), swap)": ("random2(30)", False)}
+               "are_isomorphic(random2(30), swap)": ("random2(30)", False),
+               "are_isomorphic(AG(2,7), swap)": ("AG(2,7)", False)}
 CASES = ("AG(2,5)", "AG(2,7)", "single_colour(9)",
          *(f"cyclotomic({p})" for p in CYCLOTOMIC), "random2(30)",
          *ISOMORPHISM)
