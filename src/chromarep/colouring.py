@@ -53,17 +53,20 @@ class EdgeColouring(checked_tuple("EdgeColouring", "m n colours")):
     __slots__ = ()
 
     def __new__(cls, m, n, colours):
+        _require_int(m, "the number of vertices m")
+        _require_int(n, "the number of colours n")
         if m < 1:
             raise ValueError("need at least one vertex")
         if n < 1:
             raise ValueError("need at least one colour")
+        colours = tuple(colours)  # a list would make the value unhashable
         expected = m * (m - 1) // 2
         if len(colours) != expected:
             raise ValueError(
                 f"expected {expected} edge colours, got {len(colours)}")
         for c in colours:
-            if not 1 <= c <= n:
-                raise ValueError(f"colour {c} outside 1..{n}")
+            if type(c) is not int or not 1 <= c <= n:
+                raise ValueError(f"colour {c!r} outside 1..{n}")
         return super().__new__(cls, m, n, colours)
 
     @classmethod

@@ -9,12 +9,11 @@ position by one bound: too few edges left for surjectivity, too few
 triangles for the missing multisets, or a strong leaf's missing witness.
 ``search`` breaks only this colour symmetry; ``enumerate_representations``
 also breaks vertex symmetry, by orderly generation (Read 1978, Faradzev
-1978), whose canonical-prefix test joins the bound.  An exhaustion from
-m=2 is a nonexistence certificate by one of two proved rules (see
-``search``): it reaches a dead m, an m whose search the bound never cut,
-at any level; or, at the feeble and qualitative levels, it reaches
-``restriction_bound``.  Any other exhaustion is only a range-limited
-answer.
+1978), whose canonical-prefix test joins the bound.  Two proved rules (see
+``search``) skip every larger m and, in a range from m <= 2, certify
+nonexistence: a dead m, an m whose search the bound never cut, at any
+level; or, at the feeble and qualitative levels, ``restriction_bound``
+reached from m <= 2.  Any other exhaustion is only a range-limited answer.
 """
 
 from __future__ import annotations
@@ -30,10 +29,6 @@ from .algebra import Signature, required_multisets, triangle_table
 from .colouring import (EdgeColouring, Level, _is_canonical, canonical_form,
                         colour_rows, edge_index, edge_list, unwitnessed,
                         verify)
-
-
-class BudgetExceeded(Exception):
-    pass
 
 
 # status: "found" | "exhausted" | "aborted" | "skipped"; prunes: entries
@@ -92,10 +87,14 @@ class _Budget:
     def __init__(self, node_budget):
         if node_budget is not None and node_budget < 0:
             raise ValueError(f"node budget must be >= 0, got {node_budget}")
-        self.node_budget = node_budget
+        self.limit = sys.maxsize if node_budget is None else node_budget
         self.nodes = 0
         # entries the search's one bound refused (see _search_m)
         self.prunes = 0
+
+    @property
+    def aborted(self) -> bool:
+        return self.nodes > self.limit
 
 
 @cache
@@ -155,8 +154,9 @@ def _search_m(sig: Signature, level: Level, m: int, budget: _Budget, *,
     surjectivity threshold, a field's shift, a bit's colour) is read from
     tables built once per call.  Nodes, and the entries the bound refuses,
     are counted in locals, written to ``budget.nodes`` and
-    ``budget.prunes`` before each yield, before ``BudgetExceeded`` and at
-    the end.
+    ``budget.prunes`` before each yield and at the end.  The node past
+    ``budget.limit`` ends the loop, so the loop is the generator's only
+    exit, and ``budget.aborted`` tells an abort from an exhaustion.
 
     At the strong level the kernel also keeps ``neigh[v][c]``, the bitmask
     of the vertices w with colour(v, w) = c (v itself in colour 0), as
@@ -209,9 +209,7 @@ def _search_m(sig: Signature, level: Level, m: int, budget: _Budget, *,
     # bit k of realised is set once a triangle realises multiset k; at the
     # feeble level width is 0, so no multiset bit is ever read
     missing, realised = width, 0
-    nodes, prunes, limit = budget.nodes, budget.prunes, budget.node_budget
-    if limit is None:
-        limit = sys.maxsize
+    nodes, prunes, limit = budget.nodes, budget.prunes, budget.limit
     used = idx = 0
     while idx >= 0:
         c = colours[idx]
@@ -262,8 +260,7 @@ def _search_m(sig: Signature, level: Level, m: int, budget: _Budget, *,
             continue
         nodes += 1
         if nodes > limit:
-            budget.nodes, budget.prunes = nodes, prunes
-            raise BudgetExceeded
+            break
         low = left & -left
         allowed[idx] = left ^ low
         c = colours[idx] = colour_of[low]
@@ -287,56 +284,56 @@ def search(sig: Signature, level: Level, m_range=None,
     """Look for a representation of the signature at the given level.
 
     Vertex counts are tried in ascending order; budget exhaustion always
-    reports "aborted", never nonexistence.  Exhausting a range from m=2 is a
-    nonexistence certificate by two rules:
+    reports "aborted", never nonexistence.  After an m that is not found,
+    two rules prove that no larger m holds a representation:
 
-    - at any level, when some m is dead: its search was exhausted and its
-      bound refused no entry, so every colouring of K_m in at most n
-      colours has a forbidden triangle.  Forbidden-freeness is hereditary,
-      so no representation, finite or infinite, has m vertices or more, and
-      each larger m in the range is recorded as "skipped" and not searched;
-    - feeble or qualitative, when the range reaches ``restriction_bound``.
-      Take a representation.  Pick one triangle realising each multiset of
-      R (none at the feeble level) and one edge of each remaining colour.
-      Forbidden-freeness and realised multisets are inherited by induced
-      subgraphs, and every colour is used, so the K_k induced on the chosen
-      vertices, 2 <= k <= the bound, is a representation at the same level,
-      and the search from m=2 would have found it.
+    - at any level, when m is dead: its search was exhausted and its bound
+      refused no entry, so every colouring of K_m in at most n colours has
+      a forbidden triangle.  Forbidden-freeness is hereditary, so no
+      representation, finite or infinite, has m vertices or more;
+    - feeble or qualitative, when the range starts at m <= 2 and m reaches
+      ``restriction_bound``.  Take a representation.  Pick one triangle
+      realising each multiset of R (none at the feeble level) and one edge
+      of each remaining colour.  Forbidden-freeness and realised multisets
+      are inherited by induced subgraphs, and every colour is used, so the
+      K_k induced on the chosen vertices, 2 <= k <= the bound, is a
+      representation at the same level, and the search would have found it.
 
-    Strong witnesses are not inherited by induced subgraphs, so the strong
-    level has no restriction bound and certifies only at a dead m.  An
-    empty range or a negative budget raises ValueError.
+    Where either rule fires, every larger m is recorded as "skipped" and
+    not searched, and ``complete_certificate`` is decided: it holds when
+    the range starts at m <= 2.  Strong witnesses are not inherited by
+    induced subgraphs, so the strong level has no restriction bound and
+    certifies only at a dead m.  An empty range or a negative budget
+    raises ValueError.
     """
     lo, hi = m_range if m_range is not None else default_m_range(sig)
     if lo > hi:
         raise ValueError(f"empty vertex range {lo}..{hi}")
     budget = _Budget(node_budget)
+    bound = None if level is Level.STRONG else restriction_bound(sig, level)
     per_m = []
-    dead = False
+    proved = certified = False
     for m in range(lo, hi + 1):
-        if dead:
+        if proved:
             per_m.append(PerM(m, "skipped", 0, 0, 0.0))
             continue
         start, before, refused = (time.perf_counter(), budget.nodes,
                                   budget.prunes)
-        try:
-            hit = next(_search_m(sig, level, m, budget), None)
-            # edge (0, 1) closes no triangle, so a K_m that passes the bound
-            # at position 0 ticks colour 1 there: no node means "skipped"
-            status = ("found" if hit else
-                      "exhausted" if budget.nodes > before else "skipped")
-        except BudgetExceeded:
-            hit, status = None, "aborted"
+        hit = next(_search_m(sig, level, m, budget), None)
+        # edge (0, 1) closes no triangle, so a K_m that passes the bound at
+        # position 0 ticks colour 1 there: no node means "skipped"
+        status = ("found" if hit else "aborted" if budget.aborted else
+                  "exhausted" if budget.nodes > before else "skipped")
         prunes = budget.prunes - refused
         per_m.append(PerM(m, status, budget.nodes - before, prunes,
                           time.perf_counter() - start))
         if status in ("found", "aborted"):
             return SearchOutcome(status, hit, None, budget.nodes, per_m)
-        dead = not prunes
-    certificate = lo <= 2 and (dead or level is not Level.STRONG
-                               and hi >= restriction_bound(sig, level))
+        # a dead m, or the restriction bound from m <= 2 (see above)
+        if not prunes or lo <= 2 and bound is not None and m >= bound:
+            proved, certified = True, lo <= 2
     return SearchOutcome("exhausted", None, hi, budget.nodes, per_m,
-                         complete_certificate=certificate)
+                         complete_certificate=certified)
 
 
 def enumerate_representations(sig: Signature, level: Level, m: int,
@@ -362,14 +359,10 @@ def enumerate_representations(sig: Signature, level: Level, m: int,
     if not 1 <= m <= hi:
         raise ValueError(f"vertex count {m} outside the search range 1..{hi}")
     budget = _Budget(node_budget)
-    partial = False
     canon = {}
-    try:
-        for col in _search_m(sig, level, m, budget, orderly=True):
-            c = canonical_form(col)
-            canon[c.colours] = c
-    except BudgetExceeded:
-        partial = True
+    for col in _search_m(sig, level, m, budget, orderly=True):
+        c = canonical_form(col)
+        canon[c.colours] = c
     ordered = [canon[key] for key in sorted(canon)]
-    return ordered, partial
+    return ordered, budget.aborted
 

@@ -53,6 +53,18 @@ def test_edge_colouring_validation():
     col = EdgeColouring(3, 2, (1, 2, 2))
     assert col.colour(0, 1) == 1 and col.colour(2, 1) == 2
     assert col.used_colours() == {1, 2}
+    # a list of colours is stored as a tuple, so the value is hashable
+    col = EdgeColouring(3, 1, [1, 1, 1])
+    assert col == EdgeColouring(3, 1, (1, 1, 1)) and type(col.colours) is tuple
+    assert hash(col) == hash(EdgeColouring(3, 1, (1, 1, 1)))
+    # m, n and each colour must be ints, as in Signature
+    for args in [(2, 2, (1.5,)), (2, 1, (True,)), (2, 1, ("1",))]:
+        with pytest.raises(ValueError, match="colour .* outside 1.."):
+            EdgeColouring(*args)
+    for args, what in [((2.0, 1, (1,)), "m"), ((2, 1.0, (1,)), "n"),
+                       ((True, 1, ()), "m"), ((2, True, (1,)), "n")]:
+        with pytest.raises(ValueError, match=f"number of .* {what} must be"):
+            EdgeColouring(*args)
 
 
 def test_classify_triangle():

@@ -1,12 +1,13 @@
 """The per-signature construction dispatcher and its building blocks."""
 
+import re
 from itertools import combinations
 
 import pytest
 
 from chromarep.algebra import witness_pairs
-from chromarep.colouring import (EdgeColouring, Level, classify_triangle,
-                                 verify)
+from chromarep.colouring import (EdgeColouring, Level, VerificationReport,
+                                 classify_triangle, verify)
 from chromarep.constructions import (RULES, DelegatedToSearch,
                                      NotConstructible, chain_colouring, construct, pentagon,
                                      single_colour, walecki, walecki_witness,
@@ -246,3 +247,16 @@ def test_rules_have_no_shadowed_rows():
                 want = result(n) if callable(result) else result
                 assert construct(sig(s, n), level) == want
         assert decided == set(range(len(rows))), s
+
+
+def test_built_colouring_must_pass_verify(monkeypatch):
+    # every built colouring is re-checked by verify, and one that fails is a
+    # defect of the builder, named by signature and level, never a verdict
+    def failing(col, sig, level):
+        return VerificationReport(level_requested=level, passed=False,
+                                  surjective=True)
+    monkeypatch.setattr("chromarep.constructions.verify", failing)
+    s = sig((2, 3), 3)
+    with pytest.raises(AssertionError, match=re.escape(
+            f"construction defect for {s} at qualitative: ")):
+        construct(s, Level.QUALITATIVE)

@@ -115,6 +115,19 @@ def test_qualitative_certificate_at_restriction_bound(s, n, m_range,
     assert outcome.complete_certificate is certified
 
 
+def test_restriction_bound_skips_every_larger_m():
+    # {1}, n=3 has bound 9 and no dead m: from m=2 the bound skips m = 10..12
+    # and certifies; from m=3 it proves nothing, so they are searched
+    outcome = search(sig((1,), 3), Level.QUALITATIVE)
+    assert outcome.summary() == "certified nonexistent up to m=12"
+    assert [(rec.m, rec.status, rec.nodes) for rec in outcome.per_m[-3:]] == [
+        (10, "skipped", 0), (11, "skipped", 0), (12, "skipped", 0)]
+    outcome = search(sig((1,), 3), Level.QUALITATIVE, m_range=(3, 12))
+    assert outcome.summary() == "none found (range-limited) up to m=12"
+    assert [(rec.m, rec.status, rec.nodes) for rec in outcome.per_m[-3:]] == [
+        (10, "exhausted", 52), (11, "exhausted", 63), (12, "exhausted", 75)]
+
+
 def test_default_range_short_of_the_bound_is_range_limited(monkeypatch):
     # a kernel that refuses an entry at every m never finds a dead m, and
     # {2}, n=4 has bound 36, past the default range's 15
@@ -474,10 +487,10 @@ GOLDEN_SEARCHES = [
     ((2,), 2, _S, None,
      _SKIPPED[:2] + [(4, "exhausted", 30), (5, "found", 26)],
      (1, 1, 2, 2, 1, 2, 2, 2, 1, 1)),
+    # m=4 reaches the feeble restriction bound 2n, so m = 5..9 are skipped
     ((1,), 2, _F, None,
-     [(2, "skipped", 0), (3, "exhausted", 4), (4, "exhausted", 8),
-      (5, "exhausted", 13), (6, "exhausted", 19), (7, "exhausted", 26),
-      (8, "exhausted", 34), (9, "exhausted", 43)], None),
+     [(2, "skipped", 0), (3, "exhausted", 4), (4, "exhausted", 8)]
+     + [(m, "skipped", 0) for m in range(5, 10)], None),
     ((1, 2), 3, _S, (2, 6),
      _SKIPPED + [(5, "exhausted", 468), (6, "exhausted", 62780)], None),
     ((2,), 3, _Q, (2, 7),
