@@ -13,9 +13,9 @@ import json
 from collections import Counter, namedtuple
 from enum import Enum
 
-from .algebra import (MAX_WITNESSES, _int_rows, _json_object, _require_int,
-                      checked_tuple, required_multisets, triangle_table,
-                      witness_pairs)
+from .algebra import (MAX_WITNESSES, Signature, _int_rows, _json_object,
+                      _require_int, checked_tuple, required_multisets,
+                      triangle_table, witness_pairs)
 
 
 class Level(Enum):
@@ -106,22 +106,28 @@ class EdgeColouring(checked_tuple("EdgeColouring", "m n colours")):
     @classmethod
     def from_json_with_signature(cls, text: str):
         """Parse the JSON form into (colouring, the document's "signature"
-        entry as written, or None); malformed input raises ValueError."""
+        entry as a Signature, or None); malformed input raises ValueError,
+        as does an entry that is not an object with 's' and 'n'."""
         doc = _json_object(text, "colouring", "vertices", "edges")
-        entry = doc.get("signature")
-        declared = entry if isinstance(entry, dict) else {}
-        if "colours" not in doc and "n" not in declared:
+        declared = None
+        if "signature" in doc:
+            entry = doc["signature"]
+            if not isinstance(entry, dict) or not {"s", "n"} <= entry.keys():
+                raise ValueError(f"signature {entry!r} is not an object "
+                                 "with 's' and 'n'")
+            _int_rows([entry["s"]], "the signature's s")
+            _require_int(entry["n"], "the signature's n")
+            declared = Signature(entry["s"], entry["n"])
+        elif "colours" not in doc:
             raise ValueError("colouring JSON needs 'vertices', 'edges' and "
-                             "'colours' or 'signature.n'")
+                             "'colours' or 'signature'")
         m, edges = doc["vertices"], doc["edges"]
-        n = doc.get("colours", declared.get("n"))
+        n = doc["colours"] if "colours" in doc else declared.n
         _require_int(m, "vertex count")
         _require_int(n, "colour count")
-        if "n" in declared:
-            _require_int(declared["n"], "the signature's n")
-            if declared["n"] != n:
-                raise ValueError(f"'colours' is {n} but the signature's n "
-                                 f"is {declared['n']!r}")
+        if declared is not None and declared.n != n:
+            raise ValueError(f"'colours' is {n} but the signature's n "
+                             f"is {declared.n}")
         _int_rows(edges, "edge")
         if len(edges) != m * (m - 1) // 2:
             raise ValueError("edge list does not cover K_m")
@@ -136,7 +142,7 @@ class EdgeColouring(checked_tuple("EdgeColouring", "m n colours")):
             if cols[edge_index(i, j)] is not None:
                 raise ValueError(f"edge {i},{j} is listed twice")
             cols[edge_index(i, j)] = c
-        return cls(m, n, tuple(cols)), entry
+        return cls(m, n, tuple(cols)), declared
 
     def to_dot(self) -> str:
         """Undirected DOT export with a fixed 12-colour palette.

@@ -338,7 +338,8 @@ def search(sig: Signature, level: Level, m_range=None,
 
 def enumerate_representations(sig: Signature, level: Level, m: int,
                               node_budget=None):
-    """All pass-level colourings of K_m up to isomorphism, sorted.
+    """All pass-level colourings of K_m up to isomorphism: their canonical
+    forms, in ascending order.
 
     Returns (colourings, partial): partial is True when the budget ran out,
     in which case the list must not be used as a completeness certificate.
@@ -351,18 +352,17 @@ def enumerate_representations(sig: Signature, level: Level, m: int,
     prefix; so if some ordering of the first j+1 vertices gave their
     colouring a smaller code, that ordering followed by the other vertices
     would give the whole colouring a smaller one.  Each iso-class therefore
-    reaches exactly one leaf, its canonical form.  Each leaf is still
-    verified and deduplicated by its canonical code, so a missed prune
-    costs time, never a class.
+    reaches exactly one leaf, its canonical form, and the kernel reaches
+    leaves in ascending order, so they are kept as they come.  Each leaf is
+    still checked to be its own canonical form, as the kernel verifies it:
+    a failure raises AssertionError.
     """
     hi = default_m_range(sig)[1]
     if not 1 <= m <= hi:
         raise ValueError(f"vertex count {m} outside the search range 1..{hi}")
     budget = _Budget(node_budget)
-    canon = {}
-    for col in _search_m(sig, level, m, budget, orderly=True):
-        c = canonical_form(col)
-        canon[c.colours] = c
-    ordered = [canon[key] for key in sorted(canon)]
-    return ordered, budget.aborted
-
+    found = list(_search_m(sig, level, m, budget, orderly=True))
+    # independent soundness check, as the kernel's leaf verify
+    if any(canonical_form(col) != col for col in found):
+        raise AssertionError("orderly search reached a non-canonical leaf")
+    return found, budget.aborted

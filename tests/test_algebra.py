@@ -9,7 +9,8 @@ from chromarep.algebra import (AtomStructure, Signature,
                                check_na_atom_structure, chromatic_atoms,
                                compose, is_associative, peircean_transforms,
                                required_multisets, triangle_table)
-from chromarep.colouring import EdgeColouring
+from chromarep.colouring import EdgeColouring, Level
+from chromarep.constructions import construct
 from chromarep.geometry import LinearSpace
 from chromarep.quasigroup import Quasigroup
 
@@ -165,6 +166,21 @@ def test_associativity_pattern():
     # a1;(a1;a2) = 0
     flag, witness = is_associative(chromatic_atoms(sig((3,), 2)))
     assert not flag and witness == (1, 1, 2)
+
+
+def test_associativity_cells():
+    # for n <= 6 exactly these algebras are not associative, each with the
+    # witness (1, 1, 2): S = {} and {1} at n >= 2, {3} at n not in {1, 3},
+    # {1,3} at n in {2, 3}; every strong colouring construct builds has an
+    # associative algebra
+    broken = {(s, n) for s in [(), (1,)] for n in range(2, 7)} | {
+        ((3,), n) for n in (2, 4, 5, 6)} | {((1, 3), 2), ((1, 3), 3)}
+    for s, n in product(ALL_S, range(1, 7)):
+        got = is_associative(chromatic_atoms(sig(s, n)))
+        assert got == ((False, (1, 1, 2)) if (s, n) in broken
+                       else (True, None)), (s, n)
+        if isinstance(construct(sig(s, n), Level.STRONG), EdgeColouring):
+            assert got[0], (s, n)
 
 
 def test_associativity_witness_is_genuine():

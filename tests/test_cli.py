@@ -12,7 +12,7 @@ import pytest
 
 from chromarep.algebra import Signature
 from chromarep.cli import DELEGATED_SEARCH_NODES, run
-from chromarep.colouring import Level
+from chromarep.colouring import EdgeColouring, Level
 
 GOLDEN_TABLE = Path(__file__).parent / "golden_table.json"
 
@@ -116,17 +116,16 @@ def test_verify_rejects_malformed_and_mismatched_files(tmp_path):
     code, out = run_cli("verify", "--s", "2,3", "--n", "3",
                         "--level", "qualitative", "--in", str(target))
     assert code == 0, out
-    doc["signature"]["s"] = [[3], 2]
-    target.write_text(json.dumps(doc))
-    code, out = run_cli("verify", "--s", "2,3", "--n", "3",
-                        "--level", "qualitative", "--in", str(target))
-    assert code == 1 and "differs from --s/--n" in out
-    # 2.0 and 2 are one entry in a set; the file must still be refused
-    doc["signature"]["s"] = [2, 2.0, 3]
-    target.write_text(json.dumps(doc))
-    code, out = run_cli("verify", "--s", "2,3", "--n", "3",
-                        "--level", "qualitative", "--in", str(target))
-    assert code == 1 and "differs from --s/--n" in out
+    # a malformed s is the reader's error, not a mismatch; 2.0 and 2 are
+    # one entry in a set, so the file must still be refused
+    for s, got in [([[3], 2], "got [3]"), ([2, 2.0, 3], "got 2.0")]:
+        doc["signature"]["s"] = s
+        target.write_text(json.dumps(doc))
+        code, out = run_cli("verify", "--s", "2,3", "--n", "3",
+                            "--level", "qualitative", "--in", str(target))
+        assert code == 1 and out == (
+            f"error: the signature's s {s} entry must be an integer, "
+            f"{got}\n"), out
     doc["edges"][0][1] = 99
     target.write_text(json.dumps(doc))
     code, out = run_cli("verify", "--s", "2,3", "--n", "3",
@@ -152,6 +151,31 @@ def test_verify_rejects_malformed_and_mismatched_files(tmp_path):
                         "--level", "feeble", "--in", str(target))
     assert code == 1 and out.count("\n") == 1
     assert out.startswith("error: colouring input is not JSON: ")
+
+
+@pytest.mark.parametrize("entry, message", [
+    ({"n": 2}, "is not an object with 's' and 'n'"),
+    (5, "is not an object with 's' and 'n'"),
+    ([], "is not an object with 's' and 'n'"),
+    ({"s": 5, "n": 2}, "the signature's s 5 is not a list"),
+    ({"s": "23", "n": 2}, "the signature's s '23' is not a list"),
+    ({"s": [4], "n": 2}, "triangle types must lie in {1,2,3}"),
+    ({"s": [2, 2.0, 3], "n": 2}, "entry must be an integer, got 2.0"),
+], ids=["partial", "number", "list", "s-number", "s-string", "s-4",
+        "s-float"])
+def test_verify_refuses_malformed_signature_entry(tmp_path, entry, message):
+    # the reader checks the entry once, so a malformed one is never reported
+    # as differing from --s/--n
+    text = json.dumps({"vertices": 2, "colours": 2, "edges": [[0, 1, 1]],
+                       "signature": entry})
+    with pytest.raises(ValueError) as info:
+        EdgeColouring.from_json(text)
+    assert message in str(info.value)
+    target = tmp_path / "w.json"
+    target.write_text(text)
+    code, out = run_cli("verify", "--s", "2", "--n", "2",
+                        "--level", "feeble", "--in", str(target))
+    assert (code, out) == (1, f"error: {info.value}\n")
 
 
 def test_search_certified_nonexistent(monkeypatch, dichromatic_certificate):

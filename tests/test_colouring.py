@@ -9,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from chromarep.algebra import MAX_WITNESSES, required_multisets, triangle_table
+from chromarep.algebra import (MAX_WITNESSES, chromatic_atoms, is_associative,
+                               required_multisets, triangle_table)
 from chromarep.colouring import (DOT_PALETTE, EdgeColouring, Level,
                                  _is_canonical, are_isomorphic, canonical_form,
                                  cayley, chromatic_degree, classify_triangle,
@@ -113,6 +114,7 @@ def test_verify_z12_circulant_strong():
     for s in ((1, 2), (1, 2, 3)):
         report = verify(Z12_CIRCULANT, sig(s, 2), Level.STRONG)
         assert report.passed, (s, report.summary())
+        assert is_associative(chromatic_atoms(sig(s, 2)))[0], s
 
 
 # (q, n, S): the least p = 1 (mod 2n) with a strong cyclotomic S, n = 2..6
@@ -123,6 +125,7 @@ def test_verify_z12_circulant_strong():
 def test_verify_cyclotomic_strong(q, n, s):
     report = verify(cyclotomic(q, n), sig(map(int, s), n), Level.STRONG)
     assert report.passed, report.summary()
+    assert is_associative(chromatic_atoms(sig(map(int, s), n)))[0]
 
 
 def test_cayley_translation_invariant_and_symmetric():

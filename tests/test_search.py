@@ -1,21 +1,22 @@
 """Exhaustive search, enumeration and the summary-table cross-check."""
 
 import importlib
-from itertools import combinations, product
+import random
+from itertools import combinations, permutations, product
 
 import pytest
 
 from chromarep.algebra import required_multisets, triangle_table
 from chromarep.cli import certify_summary_row
 from chromarep.colouring import (EdgeColouring, Level, VerificationReport,
-                                 canonical_form, colour_rows, neighbour_masks,
-                                 verify)
+                                 canonical_form, colour_rows, edge_index,
+                                 edge_list, neighbour_masks, verify)
 from chromarep.constructions import pentagon
 from chromarep.search import (_Budget, _pair_table, _search_m,
                               default_m_range, enumerate_representations,
                               restriction_bound, search)
 
-from helpers import ALL_S, sig
+from helpers import ALL_S, relabel, sig
 
 
 def test_default_m_range():
@@ -252,6 +253,26 @@ def test_symmetry_breaking_safety(s, n, level, m):
     assert search(sig(s, n), level, m_range=(m, m)).colouring == least
 
 
+def test_enumerate_finds_each_class_once():
+    # without canonical forms: the orbits of the 37 classes of {1,2}, n=2
+    # on K_6 under the 6!·2! vertex and colour relabellings are pairwise
+    # disjoint, and together they are the colourings that pass verify
+    s, m = sig((1, 2), 2), 6
+    found, partial = enumerate_representations(s, Level.QUALITATIVE, m)
+    assert (len(found), partial) == (37, False)
+    moves = [[edge_index(p[i], p[j]) for i, j in edge_list(m)]
+             for p in permutations(range(m))]
+    orbits = []
+    for col in found:
+        images = {tuple(col.colours[e] for e in move) for move in moves}
+        orbits.append(images | {tuple(3 - c for c in x) for x in images})
+    labelled = set().union(*orbits)
+    assert sum(map(len, orbits)) == len(labelled) == 21000
+    assert labelled == {
+        colours for colours in product((1, 2), repeat=len(moves[0]))
+        if verify(EdgeColouring(m, 2, colours), s, Level.QUALITATIVE).passed}
+
+
 # each case with the leaves and nodes of the orderly kernel, measured: the
 # canonical-prefix prune must cut exactly these nodes
 ORDERLY_CASES = [case + pin for case, pin in zip(BRUTE_FORCE_CASES, [
@@ -346,6 +367,19 @@ def test_leaf_reaching_verify_must_pass(monkeypatch):
                         "verify", failing)
     with pytest.raises(AssertionError, match="invalid colouring"):
         search(sig((2,), 2), Level.STRONG)
+
+
+def test_enumerate_refuses_non_canonical_leaf(monkeypatch):
+    # enumerate keeps the orderly leaves as they come, so a leaf that is not
+    # its own canonical form stops it instead of being kept
+    (leaf, *_), _ = enumerate_representations(sig((1, 2), 2),
+                                              Level.QUALITATIVE, 5)
+    moved = relabel(leaf, random.Random(1))
+    assert moved != leaf and canonical_form(moved) == leaf
+    monkeypatch.setattr(importlib.import_module("chromarep.search"),
+                        "_search_m", lambda *args, **kwargs: iter([moved]))
+    with pytest.raises(AssertionError, match="non-canonical leaf"):
+        enumerate_representations(sig((1, 2), 2), Level.QUALITATIVE, 5)
 
 
 def test_too_small_k_m_visits_no_node():
