@@ -7,7 +7,6 @@ composition and the associativity scan stay cheap.
 
 from __future__ import annotations
 
-import json
 from collections import namedtuple
 from functools import cache
 from itertools import product
@@ -20,31 +19,6 @@ IDENTITY = 0
 def _require_int(value, what: str) -> None:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"{what} must be an integer, got {value!r}")
-
-
-def _int_rows(value, what: str) -> tuple:
-    """A JSON list of integer lists as a tuple of tuples; else ValueError."""
-    if not isinstance(value, list):
-        raise ValueError(f"{what}s must be a list, got {value!r}")
-    for row in value:
-        if not isinstance(row, list):
-            raise ValueError(f"{what} {row!r} is not a list")
-        for x in row:
-            _require_int(x, f"{what} {row!r} entry")
-    return tuple(tuple(row) for row in value)
-
-
-def _json_object(text: str, what: str, *keys: str) -> dict:
-    """Parse a JSON object that holds every key; else ValueError."""
-    try:
-        doc = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
-        # RecursionError: nesting deeper than the decoder's stack
-        raise ValueError(f"{what} input is not JSON: {exc}") from None
-    if not isinstance(doc, dict) or not all(k in doc for k in keys):
-        *head, last = map(repr, keys)
-        raise ValueError(f"{what} JSON needs {', '.join(head)} and {last}")
-    return doc
 
 
 def checked_tuple(name: str, fields: str):
@@ -153,25 +127,6 @@ class AtomStructure(checked_tuple("AtomStructure",
         if not 0 <= a < self.atom_count:
             raise ValueError(f"atom {a} not in structure")
         return self.converse[a]
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "atom_count": self.atom_count,
-            "identity": sorted(self.identity),
-            "converse": list(self.converse),
-            "triples": sorted([a, b, c] for a, b, c in self.triples),
-        }, indent=2, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "AtomStructure":
-        """Parse the JSON form; malformed input raises ValueError."""
-        doc = _json_object(text, "atom-structure", "atom_count", "converse",
-                           "identity", "triples")
-        _require_int(doc["atom_count"], "atom count")
-        converse, identity = _int_rows([doc["converse"], doc["identity"]],
-                                       "atom list")
-        return cls(doc["atom_count"], converse, frozenset(identity),
-                   frozenset(_int_rows(doc["triples"], "triple")))
 
 
 def peircean_transforms(t, structure: AtomStructure) -> set:

@@ -13,9 +13,8 @@ import json
 from collections import Counter, namedtuple
 from enum import Enum
 
-from .algebra import (MAX_WITNESSES, Signature, _int_rows, _json_object,
-                      _require_int, checked_tuple, required_multisets,
-                      triangle_table, witness_pairs)
+from .algebra import (MAX_WITNESSES, Signature, _require_int, checked_tuple,
+                      required_multisets, triangle_table, witness_pairs)
 
 
 class Level(Enum):
@@ -41,6 +40,31 @@ def edge_index(i: int, j: int) -> int:
 def edge_list(m: int) -> list[tuple[int, int]]:
     """All edges of K_m in enumeration order."""
     return [(i, j) for j in range(m) for i in range(j)]
+
+
+def _int_rows(value, what: str) -> tuple:
+    """A JSON list of integer lists as a tuple of tuples; else ValueError."""
+    if not isinstance(value, list):
+        raise ValueError(f"{what}s must be a list, got {value!r}")
+    for row in value:
+        if not isinstance(row, list):
+            raise ValueError(f"{what} {row!r} is not a list")
+        for x in row:
+            _require_int(x, f"{what} {row!r} entry")
+    return tuple(tuple(row) for row in value)
+
+
+def _json_object(text: str) -> dict:
+    """Parse a colouring file's JSON object, which needs 'vertices' and
+    'edges'; else ValueError."""
+    try:
+        doc = json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        # RecursionError: nesting deeper than the decoder's stack
+        raise ValueError(f"colouring input is not JSON: {exc}") from None
+    if not isinstance(doc, dict) or not {"vertices", "edges"} <= doc.keys():
+        raise ValueError("colouring JSON needs 'vertices' and 'edges'")
+    return doc
 
 
 class EdgeColouring(checked_tuple("EdgeColouring", "m n colours")):
@@ -108,7 +132,7 @@ class EdgeColouring(checked_tuple("EdgeColouring", "m n colours")):
         """Parse the JSON form into (colouring, the document's "signature"
         entry as a Signature, or None); malformed input raises ValueError,
         as does an entry that is not an object with 's' and 'n'."""
-        doc = _json_object(text, "colouring", "vertices", "edges")
+        doc = _json_object(text)
         declared = None
         if "signature" in doc:
             entry = doc["signature"]

@@ -31,13 +31,11 @@ indices aside, iff their colourings are.
 
 from __future__ import annotations
 
-import json
 from collections import Counter, namedtuple
 from itertools import combinations
 from math import isqrt
 
-from .algebra import (Signature, _int_rows, _json_object, _require_int,
-                      checked_tuple)
+from .algebra import Signature, checked_tuple
 from .colouring import EdgeColouring, cayley, colour_rows, triangle_scan
 
 
@@ -52,24 +50,6 @@ class LinearSpace(checked_tuple("LinearSpace", "point_count lines")):
             if not all(0 <= p < point_count for p in line):
                 raise ValueError("line contains an unknown point")
         return super().__new__(cls, point_count, lines)
-
-    def to_json(self, parallelism=None) -> str:
-        doc = {"points": self.point_count,
-               "lines": [sorted(line) for line in self.lines]}
-        if parallelism is not None:
-            doc["blocks"] = [sorted(b) for b in parallelism.blocks]
-        return json.dumps(doc, indent=2, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str):
-        """Parse the JSON form; malformed input raises ValueError."""
-        doc = _json_object(text, "linear-space", "points", "lines")
-        _require_int(doc["points"], "point count")
-        sp = cls(doc["points"], tuple(frozenset(l) for l in
-                                      _int_rows(doc["lines"], "line")))
-        if "blocks" in doc:
-            return sp, Parallelism(_int_rows(doc["blocks"], "block"))
-        return sp
 
 
 # blocks: a tuple of tuples of line indices

@@ -6,12 +6,10 @@ corresponds to edge colour k+1, so public colourings always use {1..n}.
 
 from __future__ import annotations
 
-import json
 from collections import namedtuple
 from itertools import combinations, product
 
-from .algebra import (Signature, _int_rows, _json_object, _require_int,
-                      checked_tuple)
+from .algebra import Signature, checked_tuple
 from .colouring import EdgeColouring, Level, verify
 
 
@@ -30,17 +28,6 @@ class Quasigroup(checked_tuple("Quasigroup", "order table")):
 
     def mul(self, i: int, j: int) -> int:
         return self.table[i][j]
-
-    def to_json(self) -> str:
-        return json.dumps({"order": self.order,
-                           "table": [list(r) for r in self.table]})
-
-    @classmethod
-    def from_json(cls, text: str) -> "Quasigroup":
-        """Parse the JSON form; malformed input raises ValueError."""
-        doc = _json_object(text, "quasigroup", "order", "table")
-        _require_int(doc["order"], "order")
-        return cls(doc["order"], _int_rows(doc["table"], "table row"))
 
 
 QuasigroupReport = namedtuple(

@@ -1,6 +1,5 @@
 """Atom structures, composition and associativity."""
 
-import json
 from itertools import product
 
 import pytest
@@ -199,34 +198,18 @@ def test_is_associative_rejects_invalid_structure():
         is_associative(broken)
 
 
-def test_atom_structure_json_round_trip():
-    st = chromatic_atoms(sig((1, 3), 4))
-    text = st.to_json()
-    again = AtomStructure.from_json(text)
-    assert again == st
-    assert json.loads(text)["atom_count"] == 5
-
-
-@pytest.mark.parametrize("doc, message", [
-    ({"atom_count": 1, "converse": [3], "identity": [0], "triples": []},
-     "converse of atom 0 is no atom"),
-    ({"atom_count": 1, "converse": [0], "identity": [0], "triples": [5]},
-     "triple 5 is not a list"),
-    ({"atom_count": 1, "converse": [0], "identity": [0]}, "needs"),
-    ({"atom_count": 1, "converse": [0], "identity": [-1], "triples": []},
-     "identity atom -1 is no atom"),
-    ({"atom_count": 2, "converse": [0], "identity": [0], "triples": []},
-     "converse must cover every atom"),
-    ({"atom_count": 3, "converse": [0, 2, 2], "identity": [0], "triples": []},
+@pytest.mark.parametrize("fields, message", [
+    ((1, (3,), frozenset({0}), frozenset()), "converse of atom 0 is no atom"),
+    ((1, (0,), frozenset({-1}), frozenset()), "identity atom -1 is no atom"),
+    ((2, (0,), frozenset({0}), frozenset()), "converse must cover every atom"),
+    ((3, (0, 2, 2), frozenset({0}), frozenset()),
      "converse is not self-inverse at atom 1"),
-    ({"atom_count": 2, "converse": [0, 1], "identity": [0],
-      "triples": [[0, 1, 5]]}, r"triple \(0, 1, 5\) out of range"),
-    ({"atom_count": 1, "converse": [0], "identity": [0], "triples": 7},
-     "triples must be a list"),
+    ((2, (0, 1), frozenset({0}), frozenset({(0, 1, 5)})),
+     r"triple \(0, 1, 5\) out of range"),
 ])
-def test_atom_structure_json_rejects_malformed(doc, message):
+def test_atom_structure_rejects_malformed(fields, message):
     with pytest.raises(ValueError, match=message):
-        AtomStructure.from_json(json.dumps(doc))
+        AtomStructure(*fields)
 
 
 @pytest.mark.parametrize("value, bad, message", [

@@ -393,19 +393,24 @@ def test_module_entry_point_runs_without_warning():
 
 def test_feeble_search_setup_is_bounded_by_the_budget():
     # the feeble pair table has (n+1)² entries and no multiset fields, so a
-    # budgeted feeble search at n=200 ends at once, in little memory
+    # budgeted feeble search at n=200 ends at once, in little memory. The
+    # child prints its own VmHWM: on Linux ru_maxrss keeps the peak from
+    # before exec, which the ballast held here puts above the bound
     env = src_env()
-    child = ("import resource, sys\n"
+    child = ("import sys\n"
              "from chromarep.cli import run\n"
              "code = run(sys.argv[1:], out=sys.stdout)\n"
-             "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+             "status = open('/proc/self/status').read()\n"
+             "print(status.split('VmHWM:')[1].split()[0])\n"
              "sys.exit(code)\n")
+    ballast = bytearray(64 << 20)
     start = time.monotonic()
     done = subprocess.run(
         [sys.executable, "-c", child, "search", "--s", "1", "--n", "200",
          "--level", "feeble", "--budget-nodes", "10"],
         env=env, capture_output=True, text=True, timeout=60)
     seconds = time.monotonic() - start
+    del ballast
     *_, summary, peak_kb = done.stdout.splitlines()
     assert (done.returncode, summary) == (3, "budget exhausted"), done.stderr
     assert seconds < 2

@@ -359,24 +359,3 @@ def test_linear_space_from_colouring_rejects_dichromatic():
         linear_space_from_colouring(col)
     with pytest.raises(ValueError, match="does not use every colour"):
         linear_space_from_colouring(EdgeColouring(3, 2, (1, 1, 1)))
-
-
-def test_space_json_round_trip():
-    sp, pw = affine_plane(3)
-    text = sp.to_json(pw)
-    sp2, pw2 = LinearSpace.from_json(text)
-    assert (sp2, pw2) == (sp, pw)
-    bare = LinearSpace.from_json(sp.to_json())
-    assert set(bare.lines) == set(sp.lines)
-
-
-@pytest.mark.parametrize("text, message", [
-    ('{"points": 3}', "needs 'points' and 'lines'"),
-    ('{"points": 3, "lines": [[0, 1], 7]}', "line 7 is not a list"),
-    ('{"points": "3", "lines": []}', "point count must be an integer"),
-    ('{"points": 3, "lines": [[0, 1, 2]], "blocks": [[0.5]]}', "integer"),
-    ("nope", "input is not JSON"),
-])
-def test_space_json_rejects_malformed(text, message):
-    with pytest.raises(ValueError, match=message):
-        LinearSpace.from_json(text)

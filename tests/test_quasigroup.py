@@ -216,18 +216,3 @@ def test_quasigroup_from_colouring_rejects():
         quasigroup_from_colouring(lambda1(standard_qn(5)))
     with pytest.raises(ValueError, match="not a qualitative trichromatic"):
         quasigroup_from_colouring(EdgeColouring(4, 3, (1,) * 6))
-
-
-def test_quasigroup_json_round_trip():
-    q = standard_qn(7)
-    assert Quasigroup.from_json(q.to_json()) == q
-
-
-@pytest.mark.parametrize("text, message", [
-    ('{"order": 2, "table": [1, 2]}', "table row 1 is not a list"),
-    ('{"order": 1}', "needs 'order' and 'table'"),
-    ("nope", "input is not JSON"),
-])
-def test_quasigroup_json_rejects_malformed(text, message):
-    with pytest.raises(ValueError, match=message):
-        Quasigroup.from_json(text)
