@@ -10,12 +10,11 @@ from .colouring import (EdgeColouring, Level, VerificationReport,
                         classify_triangle, saturate, verify)
 from .constructions import (DelegatedToSearch, NotConstructible, construct,
                             walecki, walecki_witness)
-from .geometry import (LinearSpace, Parallelism, affine_plane,
-                       colouring_from_parallelism, drop_points,
-                       linear_space_from_colouring, near_pencil)
+from .geometry import (LinearSpace, affine_plane, colouring_from_parallelism,
+                       drop_points, linear_space_from_colouring,
+                       near_pencil)
 from .quasigroup import (Quasigroup, lambda1, lambda2,
-                         quasigroup_from_colouring, standard_qn,
-                         three_cycle_condition)
+                         quasigroup_from_colouring, standard_qn)
 from .search import SearchOutcome, enumerate_representations, search
 
 __all__ = [
@@ -24,12 +23,11 @@ __all__ = [
     "EdgeColouring", "Level", "VerificationReport", "are_isomorphic",
     "canonical_form", "chromatic_degree", "classify_triangle", "saturate",
     "verify", "DelegatedToSearch", "NotConstructible", "construct",
-    "walecki", "walecki_witness", "LinearSpace", "Parallelism",
-    "affine_plane", "colouring_from_parallelism", "drop_points",
+    "walecki", "walecki_witness", "LinearSpace", "affine_plane",
+    "colouring_from_parallelism", "drop_points",
     "linear_space_from_colouring", "near_pencil", "Quasigroup", "lambda1",
-    "lambda2", "quasigroup_from_colouring", "standard_qn",
-    "three_cycle_condition", "SearchOutcome", "enumerate_representations",
-    "search",
+    "lambda2", "quasigroup_from_colouring", "standard_qn", "SearchOutcome",
+    "enumerate_representations", "search",
 ]
 
 __version__ = "0.1.0"

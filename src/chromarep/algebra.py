@@ -98,8 +98,9 @@ def witness_pairs(sig) -> tuple:
 
 
 class AtomStructure(checked_tuple("AtomStructure",
-                                  "atom_count converse identity triples")):
-    """Atoms with converse, identity set and consistent-triple set.
+                                  "converse identity triples")):
+    """Atoms 0..atom_count-1 with converse, identity set and
+    consistent-triple set; ``atom_count`` is the length of ``converse``.
 
     Immutable; ``triples`` membership is O(1), which is what composition
     and the closure checks lean on.
@@ -107,9 +108,11 @@ class AtomStructure(checked_tuple("AtomStructure",
 
     __slots__ = ()
 
-    def __new__(cls, atom_count, converse, identity, triples):
-        if len(converse) != atom_count:
-            raise ValueError("converse must cover every atom")
+    def __new__(cls, converse, identity, triples):
+        converse = tuple(converse)
+        identity = frozenset(identity)
+        triples = frozenset(map(tuple, triples))
+        atom_count = len(converse)
         for a in range(atom_count):
             if not 0 <= converse[a] < atom_count:
                 raise ValueError(f"converse of atom {a} is no atom")
@@ -121,7 +124,11 @@ class AtomStructure(checked_tuple("AtomStructure",
         for t in triples:
             if len(t) != 3 or not all(0 <= a < atom_count for a in t):
                 raise ValueError(f"triple {t} out of range")
-        return super().__new__(cls, atom_count, converse, identity, triples)
+        return super().__new__(cls, converse, identity, triples)
+
+    @property
+    def atom_count(self) -> int:
+        return len(self.converse)
 
     def conv(self, a: int) -> int:
         if not 0 <= a < self.atom_count:
@@ -153,10 +160,7 @@ def chromatic_atoms(sig: Signature) -> AtomStructure:
     for a, b, c in product(range(1, sig.atom_count), repeat=3):
         if table[a][b][c]:
             triples.add((a, b, c))
-    return AtomStructure(sig.atom_count,
-                         tuple(atoms),
-                         frozenset({IDENTITY}),
-                         frozenset(triples))
+    return AtomStructure(atoms, {IDENTITY}, triples)
 
 
 AtomStructureReport = namedtuple(

@@ -122,7 +122,7 @@ def _lyndon_qualitative(n: int) -> EdgeColouring:
     # Bertrand's postulate puts a prime in [(n + 2) // 2, n - 1] for n >= 4
     q = min(q for q in range((n + 2) // 2, n)
             if prime_power(q) and (q == n - 1 or q >= 4))
-    return colouring_from_parallelism(*drop_points(q, n - q - 1))
+    return colouring_from_parallelism(drop_points(q, n - q - 1))
 
 
 _ANY = tuple(Level)
@@ -171,7 +171,7 @@ RULES = {
         (_ANY, None, walecki)],
     frozenset({1, 3}): [
         (_STRONG, lambda n: n >= 4 and prime_power(n - 1),
-         lambda n: colouring_from_parallelism(*affine_plane(n - 1))),
+         lambda n: colouring_from_parallelism(affine_plane(n - 1))),
         (_STRONG, lambda n: n == 3, DelegatedToSearch(
             "no strong construction below four colours; search settles the "
             "small case")),
@@ -183,7 +183,7 @@ RULES = {
             "two- and three-colour Lyndon qualitative existence is settled "
             "by exhaustive search")),
         (_FEEBLE, lambda n: n >= 3,
-         lambda n: colouring_from_parallelism(*near_pencil(n))),
+         lambda n: colouring_from_parallelism(near_pencil(n))),
         (_ANY, None, DelegatedToSearch(
             "no two-colour Lyndon construction known"))],
     frozenset({1, 2}): [

@@ -1,10 +1,10 @@
 """Linear spaces, parallelisms, affine planes and the point-deletion
 construction, plus the translation to and from edge colourings.
 
-Points are integers 0..point_count-1; lines are frozensets of points; a
-parallelism is a partition of line indices into blocks whose lines are
-pairwise disjoint.  Block i+1 becomes edge colour i+1 in the colouring
-translation.
+Points are integers 0..point_count-1 and lines frozensets of points.  A
+space keeps its lines in blocks of pairwise disjoint lines, its parallel
+classes (one line per block when no parallelism is chosen); block b
+becomes edge colour b + 1 in the colouring translation.
 
 Axioms LS4 (each block has a line of at least 3 points) and LS5 (any three
 distinct blocks hold the pairwise lines of some three points) are
@@ -25,8 +25,8 @@ Conversely a parallelism is its colouring: the lines of block c - 1 are the
 connected components of colour c, as a colour-c edge between two (disjoint)
 lines of that block would lie on a third line of it that meets both.
 ``linear_space_from_colouring`` lists blocks in colour order, so two
-parallelisms on the same points are equal, block order included and line
-indices aside, iff their colourings are.
+spaces on the same points are equal, block order included and the order of
+lines within a block aside, iff their colourings are.
 """
 
 from __future__ import annotations
@@ -39,70 +39,56 @@ from .algebra import Signature, checked_tuple
 from .colouring import EdgeColouring, cayley, colour_rows, triangle_scan
 
 
-class LinearSpace(checked_tuple("LinearSpace", "point_count lines")):
-    """Points 0..point_count-1 and ``lines``, a tuple of frozensets of
-    points."""
+class LinearSpace(checked_tuple("LinearSpace", "point_count blocks")):
+    """Points 0..point_count-1 and ``blocks``, a tuple of parallel classes,
+    each a tuple of lines (frozensets of points)."""
 
     __slots__ = ()
 
-    def __new__(cls, point_count, lines):
-        for line in lines:
-            if not all(0 <= p < point_count for p in line):
-                raise ValueError("line contains an unknown point")
-        return super().__new__(cls, point_count, lines)
+    def __new__(cls, point_count, blocks):
+        blocks = tuple(tuple(map(frozenset, block)) for block in blocks)
+        for block in blocks:
+            for line in block:
+                if not all(0 <= p < point_count for p in line):
+                    raise ValueError("line contains an unknown point")
+        return super().__new__(cls, point_count, blocks)
 
 
-# blocks: a tuple of tuples of line indices
-Parallelism = namedtuple("Parallelism", "blocks")
-
-SpaceReport = namedtuple(
-    "SpaceReport", "valid uncovered_pairs multi_covered_pairs short_lines",
-    defaults=([], [], []))
+SpaceReport = namedtuple("SpaceReport", "valid uncovered_pairs "
+                         "multi_covered_pairs short_lines crossing_lines",
+                         defaults=([], [], [], []))
 
 
 def validate_space(sp: LinearSpace) -> SpaceReport:
-    """Check the three linear-space axioms, with witnesses."""
-    short = [idx for idx, line in enumerate(sp.lines) if len(line) < 2]
-    cover = Counter(pair for line in sp.lines  # lines through each pair
-                    for pair in combinations(sorted(line), 2))
+    """Check the three linear-space axioms, and that the lines of each
+    block are disjoint, with witnesses; line i of block b is (b, i)."""
+    short, crossing = [], []
+    cover = Counter()  # lines through each pair
+    for b, block in enumerate(sp.blocks):
+        for i, line in enumerate(block):
+            if len(line) < 2:
+                short.append((b, i))
+            cover.update(combinations(sorted(line), 2))
+        crossing += [((b, i), (b, j))
+                     for (i, x), (j, y) in combinations(enumerate(block), 2)
+                     if x & y]
     uncovered, multi = [], []
     for pair in combinations(range(sp.point_count), 2):
         if not cover[pair]:
             uncovered.append(pair)
         elif cover[pair] > 1:  # two lines through it meet twice
             multi.append(pair)
-    return SpaceReport(not (uncovered or multi or short), uncovered, multi,
-                       short)
+    return SpaceReport(not (uncovered or multi or short or crossing),
+                       uncovered, multi, short, crossing)
 
 
-ParallelismReport = namedtuple(
-    "ParallelismReport", "valid not_a_partition crossing_pairs",
-    defaults=(False, []))
-
-
-def validate_parallelism(sp: LinearSpace, pw: Parallelism) -> ParallelismReport:
-    seen = [idx for block in pw.blocks for idx in block]
-    not_a_partition = sorted(seen) != list(range(len(sp.lines)))
-    crossing = []
-    for block in pw.blocks:
-        # indices that name no line are already not_a_partition
-        named = sorted(i for i in block if 0 <= i < len(sp.lines))
-        for i, j in combinations(named, 2):
-            if sp.lines[i] & sp.lines[j]:
-                crossing.append((i, j))
-    return ParallelismReport(not (not_a_partition or crossing),
-                             not_a_partition, crossing)
-
-
-def near_pencil(n: int):
+def near_pencil(n: int) -> LinearSpace:
     """One long line through all points but the apex, plus the 2-point
     lines through the apex; trivial parallelism (one line per block)."""
     if n < 3:
         raise ValueError("near pencil needs at least 3 points")
-    lines = [frozenset(range(1, n))]
-    lines += [frozenset({0, i}) for i in range(1, n)]
-    pw = Parallelism(tuple((i,) for i in range(len(lines))))
-    return LinearSpace(n, tuple(lines)), pw
+    lines = [range(1, n)] + [(0, i) for i in range(1, n)]
+    return LinearSpace(n, [[line] for line in lines])
 
 
 def prime_power(q: int):
@@ -175,22 +161,20 @@ def cyclotomic(q: int, n: int) -> EdgeColouring:
             return cayley(add, n, {d: e % n + 1 for d, e in log.items()})
 
 
-def affine_plane(q: int):
+def affine_plane(q: int) -> LinearSpace:
     """The affine plane AG(2, q) over the field GF(q), q a prime power.
 
-    Points are pairs (x, y) encoded as q*x + y.  Lines y = s*x + b come
-    first, grouped by slope s, then the verticals x = c; the parallelism
-    has one block per slope and one for the verticals.
+    Points are pairs (x, y) encoded as q*x + y.  Block s < q holds the lines
+    y = s*x + b in order of b, and block q the verticals x = c in order of c.
     """
     add, mul = _field_tables(q)
-    lines = [frozenset(q * x + add[mul[s][x]][b] for x in range(q))
-             for s in range(q) for b in range(q)]
-    lines += [frozenset(q * c + y for y in range(q)) for c in range(q)]
-    blocks = tuple(tuple(range(q * s, q * s + q)) for s in range(q + 1))
-    return LinearSpace(q * q, tuple(lines)), Parallelism(blocks)
+    blocks = [[frozenset(q * x + add[mul[s][x]][b] for x in range(q))
+               for b in range(q)] for s in range(q)]
+    blocks.append([frozenset(q * c + y for y in range(q)) for c in range(q)])
+    return LinearSpace(q * q, blocks)
 
 
-def drop_points(q: int, k: int):
+def drop_points(q: int, k: int) -> LinearSpace:
     """AG(2, q) less the k points (0, 0)..(0, k - 1), all on the vertical
     x = 0, with its parallelism regrouped; point p becomes p - k.
 
@@ -203,34 +187,30 @@ def drop_points(q: int, k: int):
         raise ValueError(f"plane order {q} is below 3")
     if not 0 <= k <= q - 2:
         raise ValueError(f"can delete 0..{q - 2} points, not {k}")
-    sp, pw = affine_plane(q)
-    dropped = frozenset(range(k))
-    # every line keeps its index, less the deleted points
-    lines = tuple(frozenset(p - k for p in line - dropped)
-                  for line in sp.lines)
-    old_blocks = tuple(tuple(i for i in block
-                             if len(sp.lines[i] & dropped) != 1)
-                       for block in pw.blocks)
-    new_blocks = tuple(tuple(i for i, line in enumerate(sp.lines)
-                             if len(line & dropped) == 1 and point in line)
-                       for point in range(k))
-    return (LinearSpace(q * q - k, lines),
-            Parallelism(old_blocks + new_blocks))
+    blocks = [[] for _ in range(q + 1 + k)]
+    for b, block in enumerate(affine_plane(q).blocks):
+        for line in block:
+            # a line through one deleted point joins that point's pencil
+            gone = [p for p in line if p < k]
+            blocks[q + 1 + gone[0] if len(gone) == 1 else b].append(
+                [p - k for p in line if p >= k])
+    return LinearSpace(q * q - k, blocks)
 
 
-def colouring_from_parallelism(sp: LinearSpace, pw: Parallelism) -> EdgeColouring:
+def colouring_from_parallelism(sp: LinearSpace) -> EdgeColouring:
     """Colour each point pair by the block of its line (1-based)."""
-    if not validate_space(sp).valid:
+    _, *space_faults, crossing = validate_space(sp)
+    if any(space_faults):
         raise ValueError("invalid linear space")
-    if not validate_parallelism(sp, pw).valid:
+    if crossing:
         raise ValueError("invalid parallelism")
-    colour = {pair: b + 1 for b, block in enumerate(pw.blocks) for idx in block
-              for pair in combinations(sorted(sp.lines[idx]), 2)}
-    return EdgeColouring.from_function(sp.point_count, len(pw.blocks),
+    colour = {pair: b + 1 for b, block in enumerate(sp.blocks)
+              for line in block for pair in combinations(sorted(line), 2)}
+    return EdgeColouring.from_function(sp.point_count, len(sp.blocks),
                                        lambda i, j: colour[i, j])
 
 
-def linear_space_from_colouring(col: EdgeColouring):
+def linear_space_from_colouring(col: EdgeColouring) -> LinearSpace:
     """Recover a linear space from a colouring with no dichromatic triangle.
 
     Each colour class is then a disjoint union of cliques; the cliques are
@@ -242,7 +222,6 @@ def linear_space_from_colouring(col: EdgeColouring):
         raise ValueError("colouring has a dichromatic triangle")
     if len(col.used_colours()) != col.n:
         raise ValueError("colouring does not use every colour")
-    lines = []
     blocks = []
     for c in range(1, col.n + 1):
         block = []
@@ -250,7 +229,6 @@ def linear_space_from_colouring(col: EdgeColouring):
             # the line through v in colour c, listed at its least point
             line = [w for w, d in enumerate(row) if d == c]
             if line and v < line[0]:
-                block.append(len(lines))
-                lines.append(frozenset(line + [v]))
-        blocks.append(tuple(block))
-    return LinearSpace(col.m, tuple(lines)), Parallelism(tuple(blocks))
+                block.append(frozenset(line + [v]))
+        blocks.append(block)
+    return LinearSpace(col.m, blocks)

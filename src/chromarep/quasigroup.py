@@ -2,29 +2,47 @@
 
 The colour convention is fixed package-wide: quasigroup element k
 corresponds to edge colour k+1, so public colourings always use {1..n}.
+
+The 3-cycle condition on a commutative idempotent quasigroup Q of order
+n >= 3 (every 3-element subset {x, y, z} is realised as u*v = x, v*w = y,
+w*u = z) is ``verify(lambda1(Q), Signature({3}, n), Level.QUALITATIVE)``:
+- in lambda1(Q) two sides of a triangle {u, v, w} meet at a vertex, say
+  u*v and u*w, and differ since row u is Latin; so every triangle is
+  trichromatic.  Every colour occurs too: for x != u, row u has x at some
+  v, and v != u since u*u = u;
+- u, v, w with u*v = x, v*w = y and w*u = z are distinct: u = v makes
+  x = u and y = u*w = z, and likewise for v = w and for w = u.  So they
+  are a triangle, and it realises {x, y, z}.  Conversely triangle
+  {u, v, w} realises {u*v, v*w, w*u}, and relabelling its vertices reaches
+  all six ways to put x, y, z on its sides.
+So lambda1(Q) passes exactly when the condition holds, and its
+``missing_required``, each colour shifted down by one, lists exactly the
+triples that fail.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import combinations, product
 
 from .algebra import Signature, checked_tuple
 from .colouring import EdgeColouring, Level, verify
 
 
-class Quasigroup(checked_tuple("Quasigroup", "order table")):
-    """An order-n Cayley table over {0..n-1}."""
+class Quasigroup(checked_tuple("Quasigroup", "table")):
+    """A Cayley table over {0..n-1}, n = ``order`` its number of rows."""
 
     __slots__ = ()
 
-    def __new__(cls, order, table):
-        if len(table) != order:
-            raise ValueError("table must have one row per element")
-        for row in table:
-            if len(row) != order:
-                raise ValueError("table rows must have order entries")
-        return super().__new__(cls, order, table)
+    def __new__(cls, table):
+        table = tuple(map(tuple, table))
+        if any(len(row) != len(table) for row in table):
+            raise ValueError("table must have one row per element, and "
+                             "each row one entry per element")
+        return super().__new__(cls, table)
+
+    @property
+    def order(self) -> int:
+        return len(self.table)
 
     def mul(self, i: int, j: int) -> int:
         return self.table[i][j]
@@ -63,35 +81,7 @@ def standard_qn(n: int) -> Quasigroup:
     half = pow(2, -1, n)
     table = tuple(tuple((i + j) * half % n for j in range(n))
                   for i in range(n))
-    return Quasigroup(n, table)
-
-
-def three_cycle_condition(q: Quasigroup):
-    """Decide whether every 3-element subset is realised as a product cycle.
-
-    For each x < y < z looks for u, v, w with u*v = x, v*w = y, w*u = z;
-    since vertex relabellings reach all six assignments, the fixed one
-    suffices.  Returns (flag, witnesses) with the lexicographically least
-    (u, v, w) per triple, or None where the search fails.
-    """
-    if not validate(q).valid:
-        raise ValueError("not a commutative idempotent quasigroup")
-    n = q.order
-    # every row is Latin, so u*v = x has one solution v = solve[u][x]; u and
-    # x fix v, v and y fix w, and the least u whose cycle closes wins
-    solve = [[0] * n for _ in range(n)]
-    for u, v in product(range(n), repeat=2):
-        solve[u][q.mul(u, v)] = v
-    witnesses = {}
-    for x, y, z in combinations(range(n), 3):
-        witnesses[(x, y, z)] = None
-        for u in range(n):
-            v = solve[u][x]
-            w = solve[v][y]
-            if q.mul(w, u) == z:
-                witnesses[(x, y, z)] = (u, v, w)
-                break
-    return all(witnesses.values()), witnesses
+    return Quasigroup(table)
 
 
 def lambda1(q: Quasigroup) -> EdgeColouring:
@@ -138,6 +128,6 @@ def quasigroup_from_colouring(col: EdgeColouring) -> Quasigroup:
     for v, w, c in col.edges():
         if w < n:
             table[name[v]][name[w]] = table[name[w]][name[v]] = c - 1
-    q = Quasigroup(n, tuple(tuple(r) for r in table))
+    q = Quasigroup(table)
     assert validate(q).valid
     return q

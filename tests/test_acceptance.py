@@ -102,18 +102,17 @@ def test_criterion_05_dichromatic_nonexistence(dichromatic_certificate):
 
 def test_criterion_06_lyndon_geometries():
     for p in (3, 5, 7):
-        col = colouring_from_parallelism(*affine_plane(p))
+        col = colouring_from_parallelism(affine_plane(p))
         assert verify(col, sig((1, 3), p + 1), Level.STRONG).passed, p
     for q in (3, 5, 7):
         for k in range(q - 1):
-            _, pw = drop_points(q, k)
-            assert len(pw.blocks) == q + k + 1
+            assert len(drop_points(q, k).blocks) == q + k + 1
     for n in range(4, 11):
         col = construct(sig((1, 3), n), Level.QUALITATIVE)
         assert isinstance(col, EdgeColouring), n
         assert verify(col, sig((1, 3), n), Level.QUALITATIVE).passed, n
     for n in range(3, 11):
-        col = colouring_from_parallelism(*near_pencil(n))
+        col = colouring_from_parallelism(near_pencil(n))
         assert verify(col, sig((1, 3), n), Level.FEEBLE).passed, n
         report = verify(col, sig((1, 3), n), Level.QUALITATIVE)
         assert not report.passed and report.missing_required, n
@@ -127,10 +126,10 @@ def test_criterion_07_round_trips():
                  near_pencil(4), near_pencil(7),
                  drop_points(5, 1), drop_points(7, 3)]
     for plane in instances:
-        col = colouring_from_parallelism(*plane)
+        col = colouring_from_parallelism(plane)
         # a parallelism is its colouring (see geometry's docstring)
         assert colouring_from_parallelism(
-            *linear_space_from_colouring(col)) == col
+            linear_space_from_colouring(col)) == col
     six, _ = enumerate_representations(sig((3,), 5), Level.QUALITATIVE, 6)
     for big in six:
         q = quasigroup_from_colouring(big)

@@ -10,8 +10,9 @@ from chromarep.algebra import (AtomStructure, Signature,
                                required_multisets, triangle_table)
 from chromarep.colouring import EdgeColouring, Level
 from chromarep.constructions import construct
-from chromarep.geometry import LinearSpace
-from chromarep.quasigroup import Quasigroup
+from chromarep.geometry import (LinearSpace, affine_plane,
+                                colouring_from_parallelism, validate_space)
+from chromarep.quasigroup import Quasigroup, standard_qn
 
 from helpers import ALL_S, sig
 
@@ -100,7 +101,7 @@ def test_triangle_table_format():
 
 def test_structure_check_closure_violation():
     st = chromatic_atoms(sig((3,), 3))
-    broken = AtomStructure(st.atom_count, st.converse, st.identity,
+    broken = AtomStructure(st.converse, st.identity,
                            st.triples - {(3, 1, 2)})
     report = check_na_atom_structure(broken)
     assert not report.valid
@@ -110,7 +111,7 @@ def test_structure_check_closure_violation():
 
 def test_structure_check_identity_violation():
     st = chromatic_atoms(sig((3,), 2))
-    broken = AtomStructure(st.atom_count, st.converse, frozenset(),
+    broken = AtomStructure(st.converse, frozenset(),
                            frozenset(t for t in st.triples if 0 not in t))
     report = check_na_atom_structure(broken)
     assert not report.valid
@@ -192,19 +193,20 @@ def test_associativity_witness_is_genuine():
 
 def test_is_associative_rejects_invalid_structure():
     st = chromatic_atoms(sig((3,), 3))
-    broken = AtomStructure(st.atom_count, st.converse, st.identity,
+    broken = AtomStructure(st.converse, st.identity,
                            st.triples - {(3, 1, 2)})
     with pytest.raises(ValueError):
         is_associative(broken)
 
 
 @pytest.mark.parametrize("fields, message", [
-    ((1, (3,), frozenset({0}), frozenset()), "converse of atom 0 is no atom"),
-    ((1, (0,), frozenset({-1}), frozenset()), "identity atom -1 is no atom"),
-    ((2, (0,), frozenset({0}), frozenset()), "converse must cover every atom"),
-    ((3, (0, 2, 2), frozenset({0}), frozenset()),
+    (((3,), frozenset({0}), frozenset()), "converse of atom 0 is no atom"),
+    (((0,), frozenset({-1}), frozenset()), "identity atom -1 is no atom"),
+    (((0, 1), frozenset({0}), frozenset({(0, 1)})),
+     r"triple \(0, 1\) out of range"),
+    (((0, 2, 2), frozenset({0}), frozenset()),
      "converse is not self-inverse at atom 1"),
-    ((2, (0, 1), frozenset({0}), frozenset({(0, 1, 5)})),
+    (((0, 1), frozenset({0}), frozenset({(0, 1, 5)})),
      r"triple \(0, 1, 5\) out of range"),
 ])
 def test_atom_structure_rejects_malformed(fields, message):
@@ -215,12 +217,12 @@ def test_atom_structure_rejects_malformed(fields, message):
 @pytest.mark.parametrize("value, bad, message", [
     (sig((2,), 3), {"n": 0}, "need at least one proper colour"),
     (sig((2,), 3), {"s_set": frozenset({4})}, "triangle types must lie in"),
-    (chromatic_atoms(sig((2,), 2)), {"converse": (0,)},
-     "converse must cover every atom"),
+    (chromatic_atoms(sig((2,), 2)), {"converse": (0, 2, 2)},
+     "converse is not self-inverse at atom 1"),
     (EdgeColouring(2, 1, (1,)), {"colours": (9,)}, "colour 9 outside 1..1"),
-    (LinearSpace(3, (frozenset({0, 1, 2}),)), {"lines": (frozenset({5}),)},
-     "line contains an unknown point"),
-    (Quasigroup(1, ((0,),)), {"table": ()},
+    (LinearSpace(3, ((frozenset({0, 1, 2}),),)),
+     {"blocks": ((frozenset({5}),),)}, "line contains an unknown point"),
+    (Quasigroup(((0,),)), {"table": ((0,), (0,))},
      "table must have one row per element"),
 ])
 def test_checked_types_stay_checked_and_read_only(value, bad, message):
@@ -236,3 +238,41 @@ def test_checked_types_stay_checked_and_read_only(value, bad, message):
         with pytest.raises(AttributeError):
             setattr(value, name, None)
     assert not hasattr(value, "__dict__")
+
+
+def test_value_types_store_lists_as_tuples():
+    # built from lists, each type equals and hashes like the tuple-built
+    # value, and answers the same: triples membership stays a set lookup
+    st = chromatic_atoms(sig((3,), 3))
+    listed = AtomStructure(list(st.converse), list(st.identity),
+                           [list(t) for t in st.triples])
+    plane = affine_plane(2)
+    listed_plane = LinearSpace(plane.point_count,
+                               [[list(line) for line in block]
+                                for block in plane.blocks])
+    q = standard_qn(5)
+    listed_q = Quasigroup([list(row) for row in q.table])
+    for value, again in ((st, listed), (plane, listed_plane), (q, listed_q)):
+        assert again == value and hash(again) == hash(value)
+    assert is_associative(listed) == is_associative(st) == (True, None)
+    assert validate_space(listed_plane) == validate_space(plane)
+    # a block of two list lines that meet is an invalid parallelism, not a
+    # TypeError
+    crossing = LinearSpace(3, [[[0, 1], [1, 2]], [[0, 2]]])
+    with pytest.raises(ValueError, match="invalid parallelism"):
+        colouring_from_parallelism(crossing)
+
+
+def test_package_exports_resolve():
+    import chromarep
+    assert [name for name in chromarep.__all__
+            if not hasattr(chromarep, name)] == []
+    namespace = {}
+    exec("from chromarep import *", namespace)
+    assert set(chromarep.__all__) <= namespace.keys()
+    # a parallelism is a linear space's blocks, and the 3-cycle condition
+    # is verify of lambda1
+    for module, gone in ((chromarep.geometry, "Parallelism"),
+                         (chromarep.quasigroup, "three_cycle_condition")):
+        assert gone not in chromarep.__all__
+        assert not hasattr(chromarep, gone) and not hasattr(module, gone)

@@ -598,7 +598,7 @@ def test_lambda1_isomorphism_invariance():
     perm = (2, 0, 4, 1, 3)
     inv = {perm[i]: i for i in range(5)}
     from chromarep.quasigroup import Quasigroup
-    iso = Quasigroup(5, tuple(
+    iso = Quasigroup(tuple(
         tuple(perm[q.mul(inv[i], inv[j])] for j in range(5))
         for i in range(5)))
     assert canonical_form(lambda1(iso)) == canonical_form(lambda1(q))

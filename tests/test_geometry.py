@@ -1,28 +1,27 @@
-"""Linear spaces, parallelisms, planes and the deletion construction."""
+"""Linear spaces with their parallelisms, planes and the deletion
+construction."""
 
 from itertools import combinations
 
 import pytest
 
 from chromarep.colouring import EdgeColouring, Level, verify
-from chromarep.geometry import (LinearSpace, Parallelism, _field_tables,
-                                affine_plane, colouring_from_parallelism,
-                                cyclotomic, drop_points,
-                                linear_space_from_colouring, near_pencil,
-                                prime_power, validate_parallelism,
-                                validate_space)
+from chromarep.geometry import (LinearSpace, _field_tables, affine_plane,
+                                colouring_from_parallelism, cyclotomic,
+                                drop_points, linear_space_from_colouring,
+                                near_pencil, prime_power, validate_space)
 from chromarep.search import enumerate_representations
 
 from helpers import sig
 
 
-def ls_axioms(sp, pw):
+def ls_axioms(sp):
     """(passed, LS4 failures, LS5 failures) read from ``verify`` at the
     qualitative level of {1,3}: colour c is block c - 1, so a missing
     (b, b, b) is block b - 1 without a long line and a missing trichromatic
     (a, b, c) the block triple (a - 1, b - 1, c - 1) without a triangle."""
-    report = verify(colouring_from_parallelism(sp, pw),
-                    sig((1, 3), len(pw.blocks)), Level.QUALITATIVE)
+    report = verify(colouring_from_parallelism(sp),
+                    sig((1, 3), len(sp.blocks)), Level.QUALITATIVE)
     missing = report.missing_required
     return (report.passed, [a - 1 for a, _, c in missing if a == c],
             [(a - 1, b - 1, c - 1) for a, b, c in missing if a < b < c])
@@ -42,65 +41,61 @@ def test_prime_power():
 
 def test_linear_space_rejects_unknown_points():
     with pytest.raises(ValueError):
-        LinearSpace(3, (frozenset({0, 5}),))
+        LinearSpace(3, ((frozenset({0, 5}),),))
 
 
 def test_validate_space_affine_plane():
-    sp, pw = affine_plane(3)
-    assert validate_space(sp).valid
-    assert validate_parallelism(sp, pw).valid
+    assert validate_space(affine_plane(3)).valid
 
 
 def test_validate_space_witnesses():
     # two lines sharing two points
-    sp = LinearSpace(4, (frozenset({0, 1, 2}), frozenset({0, 1, 3}),
-                         frozenset({2, 3})))
+    sp = LinearSpace(4, ((frozenset({0, 1, 2}),), (frozenset({0, 1, 3}),),
+                         (frozenset({2, 3}),)))
     report = validate_space(sp)
     assert not report.valid
     assert (0, 1) in report.multi_covered_pairs
     # uncovered pair and short line
-    sp = LinearSpace(3, (frozenset({0, 1}), frozenset({2})))
+    sp = LinearSpace(3, ((frozenset({0, 1}),), (frozenset({2}),)))
     report = validate_space(sp)
     assert (0, 2) in report.uncovered_pairs
-    assert 1 in report.short_lines
+    assert report.short_lines == [(1, 0)]
+
+
+def crossed(space):
+    """AG(2, 2) with the second lines of blocks 0 and 1 swapped: block 0
+    then holds line 0 of slope 0 and line 1 of slope 1, which meet."""
+    (a, b), (c, d), verticals = space.blocks
+    return LinearSpace(space.point_count, ((a, d), (c, b), verticals))
 
 
 def test_validate_parallelism_witnesses():
-    sp, _ = affine_plane(2)
-    # lines 0 and 2 intersect (slope 0 vs slope 1 through a common point)
-    bad = Parallelism(((0, 2), (1, 3), (4, 5)))
-    report = validate_parallelism(sp, bad)
-    assert not report.valid and report.crossing_pairs
-    partial = Parallelism(((0,), (1,)))
-    assert validate_parallelism(sp, partial).not_a_partition
-
-
-def test_parallelism_naming_unknown_lines():
-    sp, _ = affine_plane(2)
-    for pw in (Parallelism(((0, 99),)),
-               Parallelism(((0, 1, -1), (2, 3), (4, 5)))):
-        report = validate_parallelism(sp, pw)
-        assert report.not_a_partition and not report.valid
-        with pytest.raises(ValueError):
-            colouring_from_parallelism(sp, pw)
+    # the parallelism's witnesses: lines of one block that meet, named
+    # (block, index); the space itself stays a linear space
+    report = validate_space(crossed(affine_plane(2)))
+    assert not report.valid
+    assert report.crossing_lines == [((0, 0), (0, 1)), ((1, 0), (1, 1))]
+    assert not (report.uncovered_pairs or report.multi_covered_pairs
+                or report.short_lines)
 
 
 def test_ls5_rejects_non_parallelisms():
-    # crossing lines in one block, and blocks that miss lines: neither is a
-    # parallelism, so there are no parallel classes to colour or check
-    sp, _ = affine_plane(2)
-    for bad in (Parallelism(((0, 2), (1, 3), (4, 5))),
-                Parallelism(((0,), (1,)))):
-        with pytest.raises(ValueError, match="invalid parallelism"):
-            ls_axioms(sp, bad)
+    # crossing lines in one block are no parallelism, so there are no
+    # parallel classes to colour or check
+    with pytest.raises(ValueError, match="invalid parallelism"):
+        ls_axioms(crossed(affine_plane(2)))
+    # blocks that miss lines leave pairs uncovered: no linear space
+    sp = affine_plane(2)
+    with pytest.raises(ValueError, match="invalid linear space"):
+        ls_axioms(sp._replace(blocks=sp.blocks[:2]))
 
 
 def test_ls4_ls5_affine_plane():
-    assert ls_axioms(*affine_plane(3)) == (True, [], [])
+    assert ls_axioms(affine_plane(3)) == (True, [], [])
 
 
 def test_ls4_fails_on_near_pencil_even():
-    passed, ls4, ls5 = ls_axioms(*near_pencil(4))
+    passed, ls4, ls5 = ls_axioms(near_pencil(4))
     assert not passed
     # every 2-point apex line is its own block and has no long line
     assert ls4 == [1, 2, 3]
@@ -109,14 +104,13 @@ def test_ls4_fails_on_near_pencil_even():
 
 
 def test_near_pencil_shapes():
-    sp, pw = near_pencil(3)
-    assert sorted(sorted(l) for l in sp.lines) == [[0, 1], [0, 2], [1, 2]]
-    assert len(pw.blocks) == 3
-    sp, pw = near_pencil(4)
-    assert len(sp.lines) == 4 and len(pw.blocks) == 4
-    sp, pw = near_pencil(5)
+    sp = near_pencil(3)
+    assert sp.blocks == ((frozenset({1, 2}),), (frozenset({0, 1}),),
+                         (frozenset({0, 2}),))
+    assert len(near_pencil(4).blocks) == 4
+    sp = near_pencil(5)
     assert validate_space(sp).valid
-    assert ls_axioms(sp, pw)[1] == [1, 2, 3, 4]
+    assert ls_axioms(sp)[1] == [1, 2, 3, 4]
     with pytest.raises(ValueError):
         near_pencil(2)
 
@@ -124,12 +118,11 @@ def test_near_pencil_shapes():
 def test_affine_plane_counts():
     for p, lines, blocks in [(2, 6, 3), (3, 12, 4), (4, 20, 5), (5, 30, 6),
                              (8, 72, 9), (9, 90, 10)]:
-        sp, pw = affine_plane(p)
+        sp = affine_plane(p)
         assert sp.point_count == p * p
-        assert len(sp.lines) == lines
-        assert len(pw.blocks) == blocks
+        assert sum(map(len, sp.blocks)) == lines
+        assert len(sp.blocks) == blocks
         assert validate_space(sp).valid
-        assert validate_parallelism(sp, pw).valid
     for q in (6, 12):
         with pytest.raises(ValueError):
             affine_plane(q)
@@ -179,7 +172,7 @@ def test_prime_power_field_tables_match_reference(q):
 
 
 def test_affine_plane_2_is_k4_matchings():
-    col = colouring_from_parallelism(*affine_plane(2))
+    col = colouring_from_parallelism(affine_plane(2))
     assert col.m == 4 and col.n == 3
     # three perfect matchings: opposite edges share a colour
     assert col.colour(0, 1) == col.colour(2, 3)
@@ -188,69 +181,64 @@ def test_affine_plane_2_is_k4_matchings():
 
 
 def test_affine_plane_order4():
-    sp, pw = affine_plane(4)
+    sp = affine_plane(4)
     assert sp.point_count == 16
-    assert len(sp.lines) == 20 and len(pw.blocks) == 5
     assert validate_space(sp).valid
-    assert validate_parallelism(sp, pw).valid
-    assert ls_axioms(sp, pw) == (True, [], [])
+    assert ls_axioms(sp) == (True, [], [])
     # reference: GF(4) written out by hand, addition xor on {0,1,2,3}
     mul = ((0, 0, 0, 0),
            (0, 1, 2, 3),
            (0, 2, 3, 1),
            (0, 3, 1, 2))
-    lines = [frozenset(4 * x + (mul[s][x] ^ b) for x in range(4))
-             for s in range(4) for b in range(4)]
-    lines += [frozenset(4 * c + y for y in range(4)) for c in range(4)]
-    assert sp.lines == tuple(lines)
-    assert pw.blocks == tuple(tuple(range(4 * i, 4 * i + 4))
-                              for i in range(5))
+    blocks = [tuple(frozenset(4 * x + (mul[s][x] ^ b) for x in range(4))
+                    for b in range(4)) for s in range(4)]
+    blocks.append(tuple(frozenset(4 * c + y for y in range(4))
+                        for c in range(4)))
+    assert sp.blocks == tuple(blocks)
 
 
 def test_drop_points_counts():
-    sp, pw = drop_points(3, 1)
-    assert sp.point_count == 8 and len(pw.blocks) == 5
-    sp, pw = drop_points(5, 3)
-    assert sp.point_count == 22 and len(pw.blocks) == 9
+    sp = drop_points(3, 1)
+    assert sp.point_count == 8 and len(sp.blocks) == 5
+    sp = drop_points(5, 3)
+    assert sp.point_count == 22 and len(sp.blocks) == 9
     assert validate_space(sp).valid
-    assert validate_parallelism(sp, pw).valid
     for q in (3, 5, 7):
         for k in range(q - 1):
-            _, pw = drop_points(q, k)
-            assert len(pw.blocks) == q + k + 1
+            assert len(drop_points(q, k).blocks) == q + k + 1
 
 
 def test_drop_points_ls_axioms_order4():
     # the order-4 plane is the least that keeps LS4 after a deletion
     for k in (1, 2):
-        sp, pw = drop_points(4, k)
-        assert len(pw.blocks) == 5 + k
-        assert ls_axioms(sp, pw) == (True, [], [])
+        sp = drop_points(4, k)
+        assert len(sp.blocks) == 5 + k
+        assert ls_axioms(sp) == (True, [], [])
 
 
 def test_drop_points_ls4_gap_at_order3():
     # deleting from the order-3 plane leaves only 2-point lines in the new
     # pencil, so the monochromatic axiom fails there
-    passed, ls4, _ = ls_axioms(*drop_points(3, 1))
+    passed, ls4, _ = ls_axioms(drop_points(3, 1))
     assert not passed
     assert ls4 == [4]
 
 
-def geometric_ls_axioms(sp, pw):
+def geometric_ls_axioms(sp):
     """Oracle: (passed, LS4 failures, LS5 failures) from the definitions,
     the blocks with no line of at least 3 points and the block triples
     a < b < c for which no three points have their pairwise lines in
     blocks a, b and c."""
-    block_of = {pair: b for b, block in enumerate(pw.blocks) for i in block
-                for pair in combinations(sorted(sp.lines[i]), 2)}
-    ls4 = [b for b, block in enumerate(pw.blocks)
-           if all(len(sp.lines[i]) < 3 for i in block)]
+    block_of = {pair: b for b, block in enumerate(sp.blocks) for line in block
+                for pair in combinations(sorted(line), 2)}
+    ls4 = [b for b, block in enumerate(sp.blocks)
+           if all(len(line) < 3 for line in block)]
     met = set()
     for p, q, r in combinations(range(sp.point_count), 3):
         kinds = {block_of[p, q], block_of[q, r], block_of[p, r]}
         if len(kinds) == 3:
             met.add(tuple(sorted(kinds)))
-    ls5 = [t for t in combinations(range(len(pw.blocks)), 3) if t not in met]
+    ls5 = [t for t in combinations(range(len(sp.blocks)), 3) if t not in met]
     return not ls4 and not ls5, ls4, ls5
 
 
@@ -265,7 +253,7 @@ def test_verify_decides_ls4_ls5(build):
     name, *args = build
     space = {"affine_plane": affine_plane, "near_pencil": near_pencil,
              "drop_points": drop_points}[name](*args)
-    assert ls_axioms(*space) == geometric_ls_axioms(*space)
+    assert ls_axioms(space) == geometric_ls_axioms(space)
 
 
 def test_drop_points_rejections():
@@ -283,7 +271,7 @@ def test_drop_points_rejections():
 
 
 def test_colouring_from_parallelism_near_pencil():
-    col = colouring_from_parallelism(*near_pencil(4))
+    col = colouring_from_parallelism(near_pencil(4))
     report = verify(col, sig((1, 3), 4), Level.FEEBLE)
     assert report.passed
     # long-line triangle is monochromatic, apex triangles trichromatic
@@ -293,48 +281,44 @@ def test_colouring_from_parallelism_near_pencil():
 
 
 def test_colouring_from_parallelism_affine_plane_strong():
-    col = colouring_from_parallelism(*affine_plane(3))
+    col = colouring_from_parallelism(affine_plane(3))
     assert verify(col, sig((1, 3), 4), Level.STRONG).passed
 
 
 def test_drop_points_colouring_qualitative_order5():
     # LS4 and LS5 hold, so the colouring is qualitative {1,3} on 7 colours
-    sp, pw = drop_points(5, 1)
-    assert len(pw.blocks) == 7
-    assert ls_axioms(sp, pw) == (True, [], [])
+    sp = drop_points(5, 1)
+    assert len(sp.blocks) == 7
+    assert ls_axioms(sp) == (True, [], [])
 
 
 def test_colouring_from_parallelism_rejects_invalid():
-    sp, _ = affine_plane(2)
     with pytest.raises(ValueError):
-        colouring_from_parallelism(sp, Parallelism(((0, 2), (1, 3), (4, 5))))
+        colouring_from_parallelism(crossed(affine_plane(2)))
     # pair {0, 1} lies on two lines: no linear space, so no colouring
-    sp = LinearSpace(3, (frozenset({0, 1, 2}), frozenset({0, 1})))
+    sp = LinearSpace(3, ((frozenset({0, 1, 2}),), (frozenset({0, 1}),)))
     for check in (colouring_from_parallelism, ls_axioms):
         with pytest.raises(ValueError, match="invalid linear space"):
-            check(sp, Parallelism(((0,), (1,))))
+            check(sp)
 
 
 def test_space_round_trip_affine_plane():
-    plane = affine_plane(3)
-    col = colouring_from_parallelism(*plane)
+    col = colouring_from_parallelism(affine_plane(3))
     back = linear_space_from_colouring(col)
-    assert back[0].point_count == 9
-    assert len(back[0].lines) == 12
+    assert back.point_count == 9
+    assert sum(map(len, back.blocks)) == 12
     # a parallelism is its colouring (see geometry's docstring)
-    assert colouring_from_parallelism(*back) == col
+    assert colouring_from_parallelism(back) == col
 
 
 def test_space_round_trip_near_pencil():
-    col = colouring_from_parallelism(*near_pencil(5))
-    assert colouring_from_parallelism(*linear_space_from_colouring(col)) == col
+    col = colouring_from_parallelism(near_pencil(5))
+    assert colouring_from_parallelism(linear_space_from_colouring(col)) == col
 
 
 def test_space_round_trip_single_colour():
     col = EdgeColouring(3, 1, (1, 1, 1))
-    sp, pw = linear_space_from_colouring(col)
-    assert sp.lines == (frozenset({0, 1, 2}),)
-    assert pw.blocks == ((0,),)
+    assert linear_space_from_colouring(col).blocks == ((frozenset({0, 1, 2}),),)
 
 
 def test_space_round_trip_enumerated_colourings():
@@ -349,7 +333,7 @@ def test_space_round_trip_enumerated_colourings():
             classes += len(found)
             for col in found:
                 assert colouring_from_parallelism(
-                    *linear_space_from_colouring(col)) == col
+                    linear_space_from_colouring(col)) == col
     assert classes == 70
 
 

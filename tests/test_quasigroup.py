@@ -1,6 +1,6 @@
 """Quasigroups, the trichromatic colourings, and the round trip."""
 
-from itertools import permutations
+from itertools import combinations, permutations, product
 
 import pytest
 
@@ -9,7 +9,7 @@ from chromarep.colouring import (EdgeColouring, Level, canonical_form,
                                  chromatic_degree, verify)
 from chromarep.quasigroup import (Quasigroup, lambda1, lambda2,
                                   quasigroup_from_colouring, standard_qn,
-                                  three_cycle_condition, validate)
+                                  validate)
 
 
 def quasigroups_isomorphic(a, b):
@@ -51,36 +51,54 @@ def test_standard_qn_rejects_even_or_tiny():
 def test_validate_flags():
     assert validate(standard_qn(9)).valid
     # addition table of Z_4: Latin and commutative, not idempotent
-    z4 = Quasigroup(4, tuple(tuple((i + j) % 4 for j in range(4))
-                             for i in range(4)))
+    z4 = Quasigroup(tuple(tuple((i + j) % 4 for j in range(4))
+                          for i in range(4)))
     report = validate(z4)
     assert not report.valid
     assert (1, 1) in report.idempotency_violations
     assert not report.latin_violations
     # a repeated row entry breaks the Latin property
-    broken = Quasigroup(3, ((0, 0, 2), (0, 1, 2), (2, 2, 2)))
+    broken = Quasigroup(((0, 0, 2), (0, 1, 2), (2, 2, 2)))
     report = validate(broken)
     assert ("row", 0) in report.latin_violations
     # 0*1 = 2 while 1*0 = 1
-    skew = Quasigroup(3, ((0, 2, 1), (1, 1, 0), (2, 0, 2)))
+    skew = Quasigroup(((0, 2, 1), (1, 1, 0), (2, 0, 2)))
     assert (0, 1) in validate(skew).commutativity_violations
 
 
 def test_quasigroup_shape_validation():
-    with pytest.raises(ValueError):
-        Quasigroup(3, ((0, 1), (1, 0)))
-    with pytest.raises(ValueError, match="rows must have order entries"):
-        Quasigroup(2, ((0, 1), (1,)))
+    # the order is the number of rows, so each row needs that many entries
+    for table in (((0, 1, 2), (1, 0, 2)), ((0, 1), (1,))):
+        with pytest.raises(ValueError, match="one row per element"):
+            Quasigroup(table)
+    assert standard_qn(5).order == 5 and Quasigroup(()).order == 0
+
+
+def three_cycle_failures(q):
+    """Oracle: the triples x < y < z with no u, v, w such that u*v = x,
+    v*w = y and w*u = z, from the definition."""
+    n = q.order
+    cycles = {(q.mul(u, v), q.mul(v, w), q.mul(w, u))
+              for u, v, w in product(range(n), repeat=3)}
+    return [t for t in combinations(range(n), 3) if t not in cycles]
+
+
+def three_cycle_by_verify(q):
+    """(passed, failing triples) read from ``verify`` of lambda1 at the
+    qualitative level of {3}, each colour shifted down by one (see the
+    module docstring)."""
+    report = verify(lambda1(q), Signature(frozenset({3}), q.order),
+                    Level.QUALITATIVE)
+    return report.passed, [(a - 1, b - 1, c - 1)
+                           for a, b, c in report.missing_required]
 
 
 def test_three_cycle_condition_standard():
-    for n in (3, 5, 7):
-        ok, witnesses = three_cycle_condition(standard_qn(n))
-        assert ok
-        assert len(witnesses) == n * (n - 1) * (n - 2) // 6
+    # the condition holds on every standard quasigroup, and verify says so
+    for n in range(3, 12, 2):
         q = standard_qn(n)
-        for (x, y, z), (u, v, w) in witnesses.items():
-            assert q.mul(u, v) == x and q.mul(v, w) == y and q.mul(w, u) == z
+        assert three_cycle_failures(q) == []
+        assert three_cycle_by_verify(q) == (True, [])
 
 
 def test_three_cycle_condition_closed_form():
@@ -104,34 +122,23 @@ def fano_quasigroup():
         a, b, c = i, (i + 1) % 7, (i + 3) % 7
         for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
             table[x][y] = table[y][x] = z
-    return Quasigroup(7, tuple(tuple(r) for r in table))
+    return Quasigroup(table)
 
 
-def test_three_cycle_witness_is_lexicographically_least():
-    cases = [standard_qn(n) for n in (3, 5, 7)] + [fano_quasigroup()]
-    for q in cases:
-        ok, witnesses = three_cycle_condition(q)
-        n = q.order
-        for (x, y, z), got in witnesses.items():
-            brute = min(((u, v, w)
-                         for u in range(n) for v in range(n)
-                         for w in range(n)
-                         if q.mul(u, v) == x and q.mul(v, w) == y
-                         and q.mul(w, u) == z), default=None)
-            assert got == brute
-        assert ok == (None not in witnesses.values())
-    # the Fano quasigroup fails the condition on 28 of its 35 triples
-    ok, witnesses = three_cycle_condition(fano_quasigroup())
-    assert validate(fano_quasigroup()).valid and not ok
-    assert list(witnesses.values()).count(None) == 28
-    assert len(witnesses) == 35
+def test_three_cycle_condition_fano():
+    # the Fano quasigroup fails the condition on 28 of its 35 triples, and
+    # verify's missing multisets are exactly those triples
+    q = fano_quasigroup()
+    failing = three_cycle_failures(q)
+    assert validate(q).valid and len(failing) == 28
+    assert three_cycle_by_verify(q) == (False, failing)
 
 
 def test_three_cycle_rejects_invalid():
-    z4 = Quasigroup(4, tuple(tuple((i + j) % 4 for j in range(4))
-                             for i in range(4)))
-    with pytest.raises(ValueError):
-        three_cycle_condition(z4)
+    z4 = Quasigroup(tuple(tuple((i + j) % 4 for j in range(4))
+                          for i in range(4)))
+    with pytest.raises(ValueError, match="not a commutative idempotent"):
+        three_cycle_by_verify(z4)
 
 
 def test_lambda1():
@@ -145,7 +152,7 @@ def test_lambda1():
         assert len(set(cols)) == len(cols)
     # order-3 case: the all-distinct K3
     assert sorted(lambda1(standard_qn(3)).colours) == [1, 2, 3]
-    skew = Quasigroup(3, ((0, 2, 1), (1, 1, 0), (2, 0, 2)))
+    skew = Quasigroup(((0, 2, 1), (1, 1, 0), (2, 0, 2)))
     with pytest.raises(ValueError, match="not a commutative idempotent"):
         lambda1(skew)
 

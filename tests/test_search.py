@@ -11,7 +11,7 @@ from chromarep.cli import certify_summary_row
 from chromarep.colouring import (EdgeColouring, Level, VerificationReport,
                                  canonical_form, colour_rows, edge_index,
                                  edge_list, neighbour_masks, verify)
-from chromarep.constructions import pentagon
+from chromarep.constructions import construct, pentagon
 from chromarep.search import (_Budget, _pair_table, _search_m,
                               default_m_range, enumerate_representations,
                               restriction_bound, search)
@@ -559,6 +559,28 @@ def test_search_golden_pin(s, n, level, m_range, per_m, colours):
     else:
         assert outcome.status == "found"
         assert outcome.colouring.colours == colours
+
+
+# (S, n, level, m): the least m of a settled cell, where search from m=2
+# finds its first colouring, so every smaller m is empty.  The first four
+# cells are GOLDEN_SEARCHES'; construct builds on m or more vertices.
+LEAST_M = [
+    ((3,), 5, _Q, 5), ((2, 3), 3, _Q, 5), ((1, 3), 5, _Q, 7),
+    ((1, 3), 4, _S, 9), ((1, 2, 3), 2, _Q, 5), ((1, 2, 3), 3, _Q, 6),
+    ((1, 3), 4, _Q, 7), ((2,), 2, _Q, 4), ((2, 3), 3, _F, 3),
+    ((2, 3), 4, _F, 4), ((2, 3), 5, _F, 4),
+]
+
+
+@pytest.mark.parametrize(
+    "s, n, level, m", LEAST_M,
+    ids=[f"{''.join(map(str, s))}-n{n}-{level.value}"
+         for s, n, level, _ in LEAST_M])
+def test_search_least_m(s, n, level, m):
+    outcome = search(sig(s, n), level)
+    assert outcome.status == "found" and outcome.colouring.m == m
+    assert verify(outcome.colouring, sig(s, n), level).passed
+    assert construct(sig(s, n), level).m >= m
 
 
 def test_pair_table_matches_triangle_table():
