@@ -400,7 +400,7 @@ def canonical_form(col: EdgeColouring) -> EdgeColouring:
     differs from the best leaf is an image of a searched one and is left.
     So a single-colour clique costs about m^2/2 nodes, not m!.  Idempotent.
     """
-    code = _least_code(colour_rows(col.m, col.colours))
+    *_, code = _codes(colour_rows(col.m, col.colours))
     return EdgeColouring(col.m, col.n, tuple(x for row in code for x in row))
 
 
@@ -409,69 +409,43 @@ def _is_canonical(rows) -> bool:
     canonical form, i.e. ``canonical_form(col).colours == col.colours``.
 
     The search of ``canonical_form`` runs with the colouring's own rows as
-    the best code, and answers False at the first ordering whose row is
-    below it.  A colouring not named by first occurrence always fails: its
-    own ordering, renamed, has a smaller code.
+    the bound, and yields nothing exactly when no ordering's code is below
+    them.  A colouring not named by first occurrence always fails: its own
+    ordering, renamed, has a smaller code.
     """
-    return _least_code(rows, [row[:k] for k, row in enumerate(rows)]) \
-        is not None
+    bound = [row[:k] for k, row in enumerate(rows)]
+    return next(_codes(rows, bound), None) is None
 
 
-def _least_code(rows, bound=None, target=None):
-    """The least code of the colour matrix ``rows``, as a list of rows.
+def _codes(rows, bound=None):
+    """Search the codes of the colour matrix ``rows``, depth first.
+
+    Yields each new best code, as a list of rows, when the search reaches
+    it, so the codes strictly decrease and the last is the least code.  A
+    caller may stop at any yield and resume later.
 
     Given ``bound``, the code of some ordering, the search keeps only
-    orderings whose code does not exceed it, and returns None as soon as
-    one falls below it.  Every leaf it reaches then has the bound's code,
-    and the first one plays the part of the best leaf: it was reached
-    first, as a best leaf is, so the automorphisms and backjumps that later
-    leaves give stay sound.
-
-    Given ``target``, a list of rows such as another colouring's code, the
-    search runs as without it but returns its best code as soon as that is
-    at or below ``target``.  So the result is either the first code at or
-    below ``target`` the search reaches, or, when no code is, the least
-    code, which then lies above ``target``.
+    orderings whose code does not exceed it, and yields once, the prefix of
+    the first ordering that falls below it; the caller stops there.  Every
+    leaf it reaches until then has the bound's code, and the first one
+    plays the part of the best leaf: it was reached first, as a best leaf
+    is, so the automorphisms and backjumps that later leaves give stay
+    sound.
     """
     m = len(rows)
 
     # Vertices are tried by their colour-class sizes, largest class first:
     # an order that renaming vertices or colours does not change.  Without
     # it the benchmark's enumerate-iso workload runs about 1.8x slower.
-    def class_sizes(v):
-        row = rows[v]
-        return sorted((row.count(c) for c in set(row) if c), reverse=True)
-
-    ranked = sorted(range(m), key=class_sizes, reverse=True)
+    # The key counts the diagonal's 0 too: a class of size 1, so each key
+    # gains the same trailing 1.  The other sizes sum to m - 1 in every
+    # row, so no key is a proper prefix of another and the order cannot
+    # change.
+    ranked = sorted(range(m), key=lambda v: sorted(
+        map(rows[v].count, set(rows[v])), reverse=True), reverse=True)
     placed = [False] * m
     order, code, autos = [], [], []
     best_order, best_code = None, bound
-
-    def tied(tight, names):
-        """The least row to ``order`` over the unplaced vertices, and the
-        vertices that have it, each with the names its new colours take;
-        when ``tight``, no row above the best's."""
-        least = best_code[len(order)] if tight else None
-        ties = []
-        for v in ranked:
-            if placed[v]:
-                continue
-            row_v, fresh, row, less = rows[v], {}, [], least is None
-            for i, u in enumerate(order):
-                c = row_v[u]
-                x = names.get(c) or fresh.setdefault(
-                    c, len(names) + len(fresh) + 1)
-                if not less:
-                    if x > least[i]:
-                        break
-                    less = x < least[i]
-                row.append(x)
-            else:
-                if less:
-                    least, ties = row, [(v, fresh)]
-                else:
-                    ties.append((v, fresh))
-        return least, ties
 
     def orbit_of(start, gens):
         """The union of the orbits of ``start`` under the group ``gens``
@@ -494,9 +468,10 @@ def _least_code(rows, bound=None, target=None):
         if k == m:
             # the first leaf under a bound has the bound's code
             if not tight or best_order is None:
-                best_order, best_code = order[:], code[:]
-                if target is not None and best_code <= target:
-                    return -1  # settled: unwinds the whole search
+                best_order = order[:]
+                if not tight:
+                    best_code = code[:]
+                    yield best_code
                 return m
             g = [0] * m
             for b, v in zip(best_order, order):
@@ -504,9 +479,32 @@ def _least_code(rows, bound=None, target=None):
             autos.append(g)
             return next(i for i, (b, v) in enumerate(zip(best_order, order))
                         if b != v)
-        least, ties = tied(tight, names)
+        # the least row to ``order`` over the unplaced vertices, and the
+        # vertices that have it, each with the names its new colours take;
+        # when ``tight``, no row above the best's
+        least = best_code[k] if tight else None
+        ties = []
+        for v in ranked:
+            if placed[v]:
+                continue
+            row_v, fresh, row, less = rows[v], {}, [], least is None
+            for i, u in enumerate(order):
+                c = row_v[u]
+                x = names.get(c) or fresh.setdefault(
+                    c, len(names) + len(fresh) + 1)
+                if not less:
+                    if x > least[i]:
+                        break
+                    less = x < least[i]
+                row.append(x)
+            else:
+                if less:
+                    least, ties = row, [(v, fresh)]
+                else:
+                    ties.append((v, fresh))
         if tight and least is not best_code[k]:
             if bound is not None:
+                yield code + [least]
                 return -1  # unwinds the whole search
             tight = False
         searched, orbit, fixing, known = [], set(), [], 0
@@ -521,7 +519,8 @@ def _least_code(rows, bound=None, target=None):
             order.append(v)
             placed[v] = True
             code.append(least)
-            back = dfs(tight, {**names, **fresh})
+            back = yield from dfs(tight,
+                                  {**names, **fresh} if fresh else names)
             order.pop()
             placed[v] = False
             code.pop()
@@ -530,12 +529,13 @@ def _least_code(rows, bound=None, target=None):
             # the best leaf now lies below this node
             tight = True
             searched.append(v)
-            orbit |= orbit_of([v], fixing)
+            if fixing:
+                orbit |= orbit_of([v], fixing)
+            else:
+                orbit.add(v)
         return m
 
-    if dfs(bound is not None, {}) < 0 and bound is not None:
-        return None
-    return best_code
+    yield from dfs(bound is not None, {})
 
 
 def are_isomorphic(a: EdgeColouring, b: EdgeColouring) -> bool:
@@ -543,27 +543,27 @@ def are_isomorphic(a: EdgeColouring, b: EdgeColouring) -> bool:
 
     The sorted colour-class sizes are compared first.  Only when those
     agree are codes searched for, which can cost as much as a maximum
-    clique on rigid inputs.  Colourings that share any code are
-    relabellings of each other.  T is ``a``'s first code, the one its
-    search reaches without backtracking, and ``b`` is searched with T as
-    the target (see ``_least_code``).  The code found decides the question
-    unless it lies below T: equal to T means isomorphic; above T means
-    ``b``'s least code is above T, so above ``a``'s, and not isomorphic.
-    Only below T is ``a``'s least code searched in full, and ``b`` again
-    with it as the target, where a code below it puts ``b``'s least code
-    below ``a``'s.
+    clique on rigid inputs.  Each colouring's search (see ``_codes``) is
+    kept open, and the side whose current code is larger is advanced to
+    its next, smaller code.  Colourings that share any code are
+    relabellings of each other, so equal current codes mean isomorphic.
+    A side that must advance but has no further code holds its least
+    code, which lies above the other side's current code, so above its
+    least code: not isomorphic.
+    Each search runs at most once to its end, so the worst case costs
+    ``canonical_form(a)`` plus ``canonical_form(b)``.
     """
     if a.m != b.m or a.n != b.n:
         return False
     if sorted(Counter(a.colours).values()) \
             != sorted(Counter(b.colours).values()):
         return False
-    rows_a, rows_b = colour_rows(a.m, a.colours), colour_rows(b.m, b.colours)
-    # every code opens with the empty row, so lies below [[1]]: the search
-    # stops at its first leaf
-    target = _least_code(rows_a, target=[[1]])
-    found = _least_code(rows_b, target=target)
-    if found < target:
-        target = _least_code(rows_a)
-        found = _least_code(rows_b, target=target)
-    return found == target
+    searches = (_codes(colour_rows(a.m, a.colours)),
+                _codes(colour_rows(b.m, b.colours)))
+    codes = [next(search) for search in searches]
+    while codes[0] != codes[1]:
+        larger = codes[1] > codes[0]     # the side whose code is larger
+        codes[larger] = next(searches[larger], None)
+        if codes[larger] is None:
+            return False
+    return True

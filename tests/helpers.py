@@ -3,6 +3,8 @@
 It imports no pytest, so a tool can load it without the test framework.
 """
 
+import random
+
 from chromarep.algebra import Signature
 from chromarep.colouring import EdgeColouring
 
@@ -22,3 +24,11 @@ def relabel(col, rng):
     return EdgeColouring.from_function(
         col.m, col.n,
         lambda i, j: colours[col.colour(vertices[i], vertices[j]) - 1])
+
+
+def random2(m, seed):
+    """K_m with each edge coloured 1 or 2 by ``random.Random(seed)``: a
+    rigid input, whose code search cannot lean on automorphisms."""
+    rng = random.Random(seed)
+    return EdgeColouring(m, 2, tuple(rng.randint(1, 2)
+                                     for _ in range(m * (m - 1) // 2)))

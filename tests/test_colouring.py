@@ -11,7 +11,7 @@ import pytest
 
 from chromarep.algebra import (MAX_WITNESSES, chromatic_atoms, is_associative,
                                required_multisets, triangle_table)
-from chromarep.colouring import (DOT_PALETTE, EdgeColouring, Level,
+from chromarep.colouring import (DOT_PALETTE, EdgeColouring, Level, _codes,
                                  _is_canonical, are_isomorphic, canonical_form,
                                  cayley, chromatic_degree, classify_triangle,
                                  colour_rows, edge_index, edge_list,
@@ -22,7 +22,7 @@ from chromarep.constructions import (chain_colouring, construct, pentagon,
 from chromarep.geometry import _field_tables, cyclotomic
 from chromarep.quasigroup import lambda1, lambda2, standard_qn
 
-from helpers import relabel, sig
+from helpers import random2, relabel, sig
 
 
 def zmod(r, b=1):
@@ -612,27 +612,71 @@ def test_are_isomorphic_basics():
 
 
 def counting_searches(monkeypatch):
-    """Route ``are_isomorphic``'s searches through a wrapper, and return
-    the list it appends each call's (whether targeted, result) to."""
+    """Route the code searches through a wrapper, and return the list that
+    gets one record per search begun: the codes it has yielded so far,
+    then None once it has run to its end."""
     from chromarep import colouring
 
     searches = []
-    least_code = colouring._least_code
+    codes = colouring._codes
 
-    def counting(rows, bound=None, target=None):
-        found = least_code(rows, bound, target)
-        searches.append((target is not None, found))
-        return found
+    def counting(rows, bound=None):
+        searches.append(record := [])
+        for code in codes(rows, bound):
+            record.append(code)
+            yield code
+        record.append(None)
 
-    monkeypatch.setattr(colouring, "_least_code", counting)
+    monkeypatch.setattr(colouring, "_codes", counting)
     return searches
+
+
+def flat(code):
+    return tuple(x for row in code for x in row)
+
+
+def test_codes_contract():
+    # every 2-colouring of K_5 and every 3-colouring of K_4, and
+    # relabellings of colourings with large automorphism groups
+    cols = [EdgeColouring(m, n, colours) for m, n in [(5, 2), (4, 3)]
+            for colours in product(range(1, n + 1), repeat=m * (m - 1) // 2)]
+    rng = random.Random(41)
+    for col in (construct(sig((1, 3), 4), Level.STRONG),     # AG(2, 3)
+                construct(sig((1, 3), 6), Level.STRONG),     # AG(2, 5)
+                lambda2(standard_qn(7))):
+        cols += [col] + [relabel(col, rng) for _ in range(4)]
+    for col in cols:
+        rows = colour_rows(col.m, col.colours)
+        form = canonical_form(col).colours
+        # the codes strictly decrease to the least code
+        codes = list(_codes(rows))
+        assert all(x > y for x, y in zip(codes, codes[1:])), col
+        assert flat(codes[-1]) == form, col
+        # under its own code, the search yields once, a prefix below it,
+        # exactly when the colouring is not its canonical form
+        bound = [row[:k] for k, row in enumerate(rows)]
+        below = list(_codes(rows, bound))
+        assert len(below) == (form != col.colours), col
+        assert all(prefix < bound[:len(prefix)] for prefix in below), col
+
+
+def test_are_isomorphic_resumes_searches_on_rigid_input(monkeypatch):
+    # canonical_form(random2(30, 30)) searches for about a second; its
+    # seed-5 relabelling shares a code with it long before either search
+    # is done
+    searches = counting_searches(monkeypatch)
+    col = random2(30, 30)
+    assert are_isomorphic(col, relabel(col, random.Random(5)))
+    assert len(searches) == 2
+    assert not any(record[-1] is None for record in searches)
+    assert searches[0][-1] == searches[1][-1]
 
 
 def test_are_isomorphic_matches_canonical_forms(monkeypatch):
     # every 2-colouring of K_5 and every 3-colouring of K_4, against one
     # representative of each class
     searches = counting_searches(monkeypatch)
-    outcomes = Counter()
+    outcomes, pairs = Counter(), 0
     for m, n in [(5, 2), (4, 3)]:
         cols = [EdgeColouring(m, n, colours) for colours in
                 product(range(1, n + 1), repeat=m * (m - 1) // 2)]
@@ -645,10 +689,17 @@ def test_are_isomorphic_matches_canonical_forms(monkeypatch):
                 searches.clear()
                 verdict = are_isomorphic(col, rep)
                 assert verdict == (canon[col] == form), col
-                # two searches when a's first code decides, four when not
-                if searches:
-                    outcomes[verdict if len(searches) == 2 else None] += 1
-    assert set(outcomes) == {True, False, None}, outcomes
+                pairs += 1
+                if not searches:
+                    continue            # refuted by class sizes
+                # a False verdict runs exactly one search to its end
+                ended = [record[-1] is None for record in searches]
+                assert sum(ended) == (not verdict), col
+                # two advances when the first codes decide, more when not
+                advances = sum(map(len, searches))
+                outcomes[verdict, advances == 2] += 1
+    assert pairs == 29367
+    assert set(outcomes) == {(True, True), (True, False), (False, False)}
 
 
 def test_are_isomorphic_agrees_with_canonical_forms_on_seeded_pairs():
@@ -678,33 +729,30 @@ def test_are_isomorphic_agrees_with_canonical_forms_on_seeded_pairs():
     assert verdicts == {False, True}
 
 
-def test_are_isomorphic_targets_first_code_then_least(monkeypatch):
+def test_are_isomorphic_interleaves_two_searches(monkeypatch):
     searches = counting_searches(monkeypatch)
     col = construct(sig((1, 3), 4), Level.STRONG)            # AG(2, 3)
     assert are_isomorphic(col, relabel(col, random.Random(3)))
-    # a's first code, then b's search to it, which finds it
-    assert [targeted for targeted, _ in searches] == [True, True]
-    assert searches[1][1] == searches[0][1]
+    # the first codes agree
+    (first_a,), (first_b,) = searches
+    assert first_a == first_b
 
     col = construct(sig((1, 3), 6), Level.STRONG)            # AG(2, 5)
-    form = canonical_form(col).colours
     searches.clear()
     assert are_isomorphic(col, relabel(col, random.Random(3)))
-    # b's search finds a code below a's first code, so a's least code is
-    # searched in full, then b's search to it
-    assert [targeted for targeted, _ in searches] == [True, True, False, True]
-    assert searches[1][1] < searches[0][1]
-    least = searches[2][1]
-    assert tuple(x for row in least for x in row) == form
-    assert searches[3][1] == least
+    # a's first code is above b's, so a's search advances, to b's code:
+    # a code that both share and that is not yet the least
+    (first_a, next_a), (first_b,) = searches
+    assert first_a > first_b == next_a
+    assert flat(next_a) > canonical_form(col).colours
 
 
 def test_are_isomorphic_refutes_by_class_sizes(monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("least-code search called")
+        raise AssertionError("code search called")
 
-    # both sides' searches go through _least_code
-    monkeypatch.setattr("chromarep.colouring._least_code", refuse)
+    # both sides' searches go through _codes
+    monkeypatch.setattr("chromarep.colouring._codes", refuse)
     # equal m and n, different colour-class sizes
     a, b = chain_colouring(9), lambda2(standard_qn(9))
     assert (a.m, a.n) == (b.m, b.n)

@@ -19,19 +19,24 @@ relabellings or a wrong isomorphism verdict, and 0 otherwise.  The
 - ``cyclotomic(p)``: ``geometry.cyclotomic(p, n)``, the strong {2,3}
   colourings at n = 4, 5, 6 (p = 41, 71, 97) and the strong {1,2,3} ones
   at n = 4, 5, 6 (p = 73, 131, 181);
-- ``random2(30)``: K_30 with each edge coloured 1 or 2 by a seeded random
-  generator, a rigid input whose search cannot lean on automorphisms.
+- ``random2(30)``: ``random2(30, 30)`` of tests/helpers.py, K_30 with
+  each edge coloured 1 or 2 by a seeded random generator, a rigid input
+  whose search cannot lean on automorphisms.
 
 The ``are_isomorphic`` cases, one call each:
 
-- ``are_isomorphic(random2(30))`` and ``are_isomorphic(AG(2,7))``: the
-  colouring against a seeded relabelling, verdict True;
+- ``are_isomorphic(random2(30))``, ``are_isomorphic(random2(30), seed 5)``,
+  ``are_isomorphic(AG(2,5))`` and ``are_isomorphic(AG(2,7))``: the
+  colouring against a relabelling seeded with 7, or with 5 where the name
+  says so; verdict True.  Against its seed-5 relabelling, random2(30)'s
+  first code is not a code of the partner, so the two searches advance in
+  turn until they meet;
 - ``are_isomorphic(random2(30), swap)`` and
   ``are_isomorphic(AG(2,7), swap)``: the colouring against itself with its
   first edges of colours 1 and 2 swapped, which keeps the colour-class
-  sizes; verdict False.  The AG(2,7) pair is symmetric but not
-  isomorphic, the case where a first code that is not least costs
-  ``are_isomorphic`` the most.
+  sizes; verdict False.  A False verdict runs one side's search to its
+  end, so these cost ``are_isomorphic`` the most: up to a
+  ``canonical_form`` of each side.
 """
 
 from __future__ import annotations
@@ -50,11 +55,14 @@ ROOT = Path(__file__).resolve().parents[1]
 TIMEOUT_S = 300
 MEMORY_MB = 2048
 CYCLOTOMIC = {41: 4, 71: 5, 97: 6, 73: 4, 131: 5, 181: 6}
-# are_isomorphic case: (colouring, whether its partner is a relabelling)
-ISOMORPHISM = {"are_isomorphic(random2(30))": ("random2(30)", True),
-               "are_isomorphic(AG(2,7))": ("AG(2,7)", True),
-               "are_isomorphic(random2(30), swap)": ("random2(30)", False),
-               "are_isomorphic(AG(2,7), swap)": ("AG(2,7)", False)}
+# are_isomorphic case: (colouring, the seed of the relabelling it is
+# checked against, or None for its swap)
+ISOMORPHISM = {"are_isomorphic(random2(30))": ("random2(30)", 7),
+               "are_isomorphic(random2(30), seed 5)": ("random2(30)", 5),
+               "are_isomorphic(AG(2,5))": ("AG(2,5)", 7),
+               "are_isomorphic(AG(2,7))": ("AG(2,7)", 7),
+               "are_isomorphic(random2(30), swap)": ("random2(30)", None),
+               "are_isomorphic(AG(2,7), swap)": ("AG(2,7)", None)}
 CASES = ("AG(2,5)", "AG(2,7)", "single_colour(9)",
          *(f"cyclotomic({p})" for p in CYCLOTOMIC), "random2(30)",
          *ISOMORPHISM)
@@ -63,9 +71,10 @@ RELABELLINGS = {"AG(2,5)": 8, "AG(2,7)": 16}
 
 def build(case):
     from chromarep.algebra import Signature
-    from chromarep.colouring import EdgeColouring, Level
+    from chromarep.colouring import Level
     from chromarep.constructions import construct, single_colour
     from chromarep.geometry import cyclotomic
+    from helpers import random2
 
     if case.startswith("AG"):
         q = int(case[5])
@@ -73,9 +82,7 @@ def build(case):
     if case == "single_colour(9)":
         return single_colour(9)
     if case == "random2(30)":
-        rng = random.Random(30)
-        return EdgeColouring(30, 2, tuple(rng.randint(1, 2)
-                                          for _ in range(30 * 29 // 2)))
+        return random2(30, 30)
     p = int(case[len("cyclotomic("):-1])
     return cyclotomic(p, CYCLOTOMIC[p])
 
@@ -106,9 +113,10 @@ def run_isomorphism(case):
     from chromarep.colouring import are_isomorphic
     from helpers import relabel
 
-    base, expected = ISOMORPHISM[case]
+    base, seed = ISOMORPHISM[case]
     col = build(base)
-    other = relabel(col, random.Random(7)) if expected \
+    expected = seed is not None
+    other = relabel(col, random.Random(seed)) if expected \
         else swap_first_edges(col)
     start = time.perf_counter()
     verdict = are_isomorphic(col, other)
