@@ -52,10 +52,6 @@ class Signature(checked_tuple("Signature", "s_set n")):
         return super().__new__(cls, s_set, n)
 
     @property
-    def forbidden(self) -> frozenset:
-        return frozenset({1, 2, 3}) - self.s_set
-
-    @property
     def atom_count(self) -> int:
         return self.n + 1
 

@@ -123,11 +123,6 @@ class EdgeColouring(checked_tuple("EdgeColouring", "m n colours")):
         return json.dumps(doc, indent=2, sort_keys=True)
 
     @classmethod
-    def from_json(cls, text: str) -> "EdgeColouring":
-        """Parse the JSON form; malformed input raises ValueError."""
-        return cls.from_json_with_signature(text)[0]
-
-    @classmethod
     def from_json_with_signature(cls, text: str):
         """Parse the JSON form into (colouring, the document's "signature"
         entry as a Signature, or None); malformed input raises ValueError,
@@ -195,11 +190,6 @@ def cayley(add, n: int, f) -> EdgeColouring:
             raise ValueError(f"f[{d}] = {f[d]} but f[-{d}] = {f[neg[d]]}")
     return EdgeColouring.from_function(len(add), n,
                                        lambda x, y: f[add[y][neg[x]]])
-
-
-def classify_triangle(col: EdgeColouring, x: int, y: int, z: int) -> int:
-    """Number of distinct colours on the sides of triangle {x,y,z}."""
-    return len({col.colour(x, y), col.colour(y, z), col.colour(x, z)})
 
 
 class VerificationReport(namedtuple(
@@ -350,40 +340,6 @@ def verify(col: EdgeColouring, sig, level: Level) -> VerificationReport:
     return VerificationReport(level, passed, surjective, forbidden_witnesses,
                               forbidden_total, missing, strong_failures,
                               strong_total)
-
-
-def chromatic_degree(col: EdgeColouring, v: int) -> int:
-    """Number of distinct colours on the edges incident to v."""
-    return len({col.colour(v, w) for w in range(col.m) if w != v})
-
-
-def saturate(col: EdgeColouring, v: int, sig) -> EdgeColouring:
-    """Extend a {2}-feeble colouring so that v meets all n colours.
-
-    Adds one vertex per colour missing at v; the new vertex copies v's row
-    except for its edge to v, which carries the missing colour.  Valid only
-    for S = {2}: the copied row cannot create monochromatic or trichromatic
-    triangles there.
-    """
-    if sig.s_set != frozenset({2}):
-        raise ValueError("saturation argument only applies to S = {2}")
-    if verify(col, sig, Level.FEEBLE).forbidden_total:
-        raise ValueError("input already contains a forbidden triangle")
-    present = {col.colour(v, w) for w in range(col.m) if w != v}
-    missing = [d for d in range(1, sig.n + 1) if d not in present]
-    if not missing:
-        return col
-
-    # the twin's edges (w, m) close the edge order, so it appends one row
-    cols = list(col.colours)
-    m = col.m
-    for d in missing:
-        cols += [d if w == v else cols[edge_index(w, v)] for w in range(m)]
-        m += 1
-    out = EdgeColouring(m, col.n, tuple(cols))
-    assert chromatic_degree(out, v) == sig.n
-    assert verify(out, sig, Level.FEEBLE).forbidden_total == 0
-    return out
 
 
 def canonical_form(col: EdgeColouring) -> EdgeColouring:

@@ -34,8 +34,8 @@ def test_signature_validation():
     for bad_s in ((2, 2.0), [1, True]):
         with pytest.raises(ValueError, match="triangle type"):
             Signature(bad_s, 2)
-    assert sig((1, 3), 4).forbidden == frozenset({2})
-    assert sig((), 2).forbidden == frozenset({1, 2, 3})
+    assert sig((1, 3), 4).s_set == frozenset({1, 3})
+    assert sig((), 2).s_set == frozenset()
     assert sig((2,), 5).atom_count == 6
     assert str(sig((1, 3), 4)) == "E_5^{1,3}"
     assert str(sig((), 2)) == "E_3^{∅}"
@@ -270,9 +270,15 @@ def test_package_exports_resolve():
     namespace = {}
     exec("from chromarep import *", namespace)
     assert set(chromarep.__all__) <= namespace.keys()
-    # a parallelism is a linear space's blocks, and the 3-cycle condition
-    # is verify of lambda1
+    # a parallelism is a linear space's blocks, the 3-cycle condition is
+    # verify of lambda1, verify reads triangle types from triangle_table,
+    # and the one colouring reader is from_json_with_signature
     for module, gone in ((chromarep.geometry, "Parallelism"),
-                         (chromarep.quasigroup, "three_cycle_condition")):
+                         (chromarep.quasigroup, "three_cycle_condition"),
+                         (chromarep.colouring, "saturate"),
+                         (chromarep.colouring, "chromatic_degree"),
+                         (chromarep.colouring, "classify_triangle")):
         assert gone not in chromarep.__all__
         assert not hasattr(chromarep, gone) and not hasattr(module, gone)
+    assert not hasattr(chromarep.EdgeColouring, "from_json")
+    assert not hasattr(chromarep.Signature, "forbidden")

@@ -169,7 +169,7 @@ def test_verify_refuses_malformed_signature_entry(tmp_path, entry, message):
     text = json.dumps({"vertices": 2, "colours": 2, "edges": [[0, 1, 1]],
                        "signature": entry})
     with pytest.raises(ValueError) as info:
-        EdgeColouring.from_json(text)
+        EdgeColouring.from_json_with_signature(text)
     assert message in str(info.value)
     target = tmp_path / "w.json"
     target.write_text(text)

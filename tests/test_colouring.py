@@ -13,10 +13,8 @@ from chromarep.algebra import (MAX_WITNESSES, chromatic_atoms, is_associative,
                                required_multisets, triangle_table)
 from chromarep.colouring import (DOT_PALETTE, EdgeColouring, Level, _codes,
                                  _is_canonical, are_isomorphic, canonical_form,
-                                 cayley, chromatic_degree, classify_triangle,
-                                 colour_rows, edge_index, edge_list,
-                                 neighbour_masks, saturate, unwitnessed,
-                                 verify)
+                                 cayley, colour_rows, edge_index, edge_list,
+                                 neighbour_masks, unwitnessed, verify)
 from chromarep.constructions import (chain_colouring, construct, pentagon,
                                      single_colour, walecki)
 from chromarep.geometry import _field_tables, cyclotomic
@@ -68,24 +66,13 @@ def test_edge_colouring_validation():
             EdgeColouring(*args)
 
 
-def test_classify_triangle():
-    col = EdgeColouring(3, 3, (1, 1, 1))
-    assert classify_triangle(col, 0, 1, 2) == 1
-    col = EdgeColouring(3, 3, (1, 1, 2))
-    assert classify_triangle(col, 2, 0, 1) == 2
-    col = EdgeColouring(3, 3, (1, 2, 3))
-    assert classify_triangle(col, 0, 1, 2) == 3
-    with pytest.raises(ValueError):
-        classify_triangle(col, 0, 1, 1)
+def test_colour_rejects_vertex_outside_k_m():
     # vertex -1 would read edge {0,1} through the edge enumeration
-    with pytest.raises(ValueError):
-        classify_triangle(pentagon(), -1, 0, 1)
-    with pytest.raises(ValueError):
-        classify_triangle(pentagon(), 0, 1, 5)
-    # the accessor itself rejects a vertex outside 0..m-1
     for i, j in ((-1, 0), (0, 5)):
         with pytest.raises(ValueError, match=r"is not in K_5"):
             pentagon().colour(i, j)
+    with pytest.raises(ValueError, match="no self-edges"):
+        pentagon().colour(1, 1)
 
 
 def test_required_multisets():
@@ -305,7 +292,7 @@ def oracle_verify(col, s_set, level):
                                for z in range(col.m)):
                         return False
     for v in range(col.m):
-        if chromatic_degree(col, v) != col.n:
+        if len({col.colour(v, w) for w in range(col.m) if w != v}) != col.n:
             return False
     return True
 
@@ -382,57 +369,6 @@ def test_verify_reports_match_golden():
     assert any(r["strong_total"] > MAX_WITNESSES for r in records)
     assert any(r["passed"] and r["level_requested"] == "strong"
                for r in records)
-
-
-def test_chromatic_degree():
-    col = lambda1(standard_qn(5))
-    # vertex i misses exactly the colour i+1 (its own square)
-    assert chromatic_degree(col, 2) == 4
-    assert 3 not in {col.colour(2, w) for w in range(5) if w != 2}
-    assert chromatic_degree(EdgeColouring(3, 1, (1, 1, 1)), 0) == 1
-    assert all(chromatic_degree(pentagon(), v) == 2 for v in range(5))
-    with pytest.raises(ValueError):
-        chromatic_degree(pentagon(), 5)
-
-
-def test_saturate_chain_vertex():
-    s = sig((2,), 2)
-    chain = chain_colouring(2)
-    out = saturate(chain, 2, s)
-    # vertex 2 was missing colour 1; one new vertex is added carrying it
-    assert out.m == 4
-    assert out.colour(2, 3) == 1
-    assert out.colour(3, 0) == chain.colour(2, 0)
-    assert out.colour(3, 1) == chain.colour(2, 1)
-    assert verify(out, s, Level.FEEBLE).passed
-    assert chromatic_degree(out, 2) == 2
-    for v in (-1, 3, 5):    # no such vertex
-        with pytest.raises(ValueError):
-            saturate(chain, v, s)
-    with pytest.raises(ValueError, match="colouring has 2 colours, "
-                                         "signature wants 3"):
-        saturate(chain, 0, sig((2,), 3))
-    with pytest.raises(ValueError, match="forbidden triangle"):
-        saturate(EdgeColouring(3, 2, (1, 1, 1)), 0, s)
-    # vertex 3 of the 3-colour chain misses colours 1 and 2, so two twins
-    # are added; the edge between the twins copies the first twin's edge to 3
-    s = sig((2,), 3)
-    out = saturate(chain_colouring(3), 3, s)
-    assert out.m == 6
-    assert (out.colour(3, 4), out.colour(3, 5), out.colour(4, 5)) == (1, 2, 1)
-    assert verify(out, s, Level.FEEBLE).passed
-    assert chromatic_degree(out, 3) == 3
-
-
-def test_saturate_noop_when_saturated():
-    s = sig((2,), 2)
-    assert saturate(pentagon(), 0, s) is pentagon() or \
-        saturate(pentagon(), 0, s) == pentagon()
-
-
-def test_saturate_rejects_other_signatures():
-    with pytest.raises(ValueError):
-        saturate(pentagon(), 0, sig((2, 3), 2))
 
 
 def test_canonical_form_single_colour():
@@ -766,19 +702,19 @@ def test_json_round_trip():
     doc = json.loads(text)
     assert doc["vertices"] == 6 and doc["colours"] == 3
     assert doc["signature"] == {"s": [2, 3], "n": 3}
-    again = EdgeColouring.from_json(text)
-    assert again == col
+    again, declared = EdgeColouring.from_json_with_signature(text)
+    assert again == col and declared == s
     assert again.to_json(s) == text  # bit-exact round trip
 
 
 def test_json_rejects_deep_nesting():
     with pytest.raises(ValueError, match="colouring input is not JSON"):
-        EdgeColouring.from_json("[" * 100_000)
+        EdgeColouring.from_json_with_signature("[" * 100_000)
 
 
 def test_json_rejects_partial_edge_list():
     with pytest.raises(ValueError):
-        EdgeColouring.from_json(json.dumps(
+        EdgeColouring.from_json_with_signature(json.dumps(
             {"vertices": 3, "colours": 1, "edges": [[0, 1, 1]]}))
 
 
@@ -806,7 +742,7 @@ def test_json_rejects_partial_edge_list():
 ])
 def test_json_rejects_malformed(doc, message):
     with pytest.raises(ValueError, match=message):
-        EdgeColouring.from_json(json.dumps(doc))
+        EdgeColouring.from_json_with_signature(json.dumps(doc))
 
 
 def test_dot_export():

@@ -7,7 +7,7 @@ import pytest
 
 from chromarep.algebra import witness_pairs
 from chromarep.colouring import (EdgeColouring, Level, VerificationReport,
-                                 classify_triangle, verify)
+                                 verify)
 from chromarep.constructions import (RULES, DelegatedToSearch,
                                      NotConstructible, chain_colouring, construct, pentagon,
                                      single_colour, walecki, walecki_witness,
@@ -37,7 +37,8 @@ def test_chain_colouring():
     assert col.m == 5
     # triangle {i<j<k} gets colours (j, k, k): always dichromatic
     for x, y, z in combinations(range(5), 3):
-        assert classify_triangle(col, x, y, z) == 2
+        assert len({col.colour(x, y), col.colour(y, z),
+                    col.colour(x, z)}) == 2
     for n in range(2, 11):
         assert verify(chain_colouring(n), sig((2,), n), Level.FEEBLE).passed
     with pytest.raises(ValueError):
@@ -80,7 +81,8 @@ def test_walecki_no_monochromatic_triangle():
     for n in range(2, 16):
         col = walecki(n)
         for x, y, z in combinations(range(col.m), 3):
-            assert classify_triangle(col, x, y, z) >= 2
+            assert len({col.colour(x, y), col.colour(y, z),
+                        col.colour(x, z)}) >= 2
 
 
 def test_walecki_witness_known_case():

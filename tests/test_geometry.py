@@ -275,9 +275,8 @@ def test_colouring_from_parallelism_near_pencil():
     report = verify(col, sig((1, 3), 4), Level.FEEBLE)
     assert report.passed
     # long-line triangle is monochromatic, apex triangles trichromatic
-    from chromarep.colouring import classify_triangle
-    assert classify_triangle(col, 1, 2, 3) == 1
-    assert classify_triangle(col, 0, 1, 2) == 3
+    assert len({col.colour(1, 2), col.colour(2, 3), col.colour(1, 3)}) == 1
+    assert len({col.colour(0, 1), col.colour(1, 2), col.colour(0, 2)}) == 3
 
 
 def test_colouring_from_parallelism_affine_plane_strong():

@@ -5,8 +5,7 @@ from itertools import combinations, permutations, product
 import pytest
 
 from chromarep.algebra import Signature
-from chromarep.colouring import (EdgeColouring, Level, canonical_form,
-                                 chromatic_degree, verify)
+from chromarep.colouring import EdgeColouring, Level, canonical_form, verify
 from chromarep.quasigroup import (Quasigroup, lambda1, lambda2,
                                   quasigroup_from_colouring, standard_qn,
                                   validate)
@@ -146,10 +145,12 @@ def test_lambda1():
     col = lambda1(q)
     assert col.m == 5 and col.n == 5
     assert col.colour(0, 1) == 4      # 0*1 = 3, shifted to colour 4
-    # no two edges at one vertex share a colour
+    # no two edges at one vertex share a colour, and vertex v misses
+    # exactly the colour v + 1 (its own square)
     for v in range(5):
         cols = [col.colour(v, w) for w in range(5) if w != v]
         assert len(set(cols)) == len(cols)
+        assert {1, 2, 3, 4, 5} - set(cols) == {v + 1}
     # order-3 case: the all-distinct K3
     assert sorted(lambda1(standard_qn(3)).colours) == [1, 2, 3]
     skew = Quasigroup(((0, 2, 1), (1, 1, 0), (2, 0, 2)))
@@ -163,7 +164,8 @@ def test_lambda2():
     assert col.m == 6
     # the added vertex meets every colour; originals become saturated
     assert {col.colour(5, i) for i in range(5)} == {1, 2, 3, 4, 5}
-    assert all(chromatic_degree(col, v) == 5 for v in range(6))
+    assert all(len({col.colour(v, w) for w in range(6) if w != v}) == 5
+               for v in range(6))
     # the first n vertices carry exactly lambda1
     l1 = lambda1(q)
     assert all(col.colour(i, j) == l1.colour(i, j)
