@@ -239,34 +239,6 @@ def colour_rows(m: int, colours) -> list[list[int]]:
     return rows
 
 
-def triangle_scan(rows, sig):
-    """One pass over the triangles of the colour matrix ``rows`` in
-    ``combinations`` order.
-
-    Returns (forbidden total, the first ``MAX_WITNESSES`` forbidden
-    (vertex triple, colour triple) pairs, the set of the k for which some
-    triangle realises ``required_multisets(sig)[k]``).
-    """
-    table = triangle_table(sig)
-    m = len(rows)
-    total, witnesses, realised = 0, [], set()
-    for x in range(m):
-        row_x = rows[x]
-        for y in range(x + 1, m):
-            row_y = rows[y]
-            table_xy = table[row_x[y]]
-            for z in range(y + 1, m):
-                entry = table_xy[row_y[z]][row_x[z]]
-                if not entry:
-                    total += 1
-                    if len(witnesses) < MAX_WITNESSES:
-                        witnesses.append(((x, y, z),
-                                          (row_x[y], row_y[z], row_x[z])))
-                elif entry not in realised:
-                    realised.add(entry)
-    return total, witnesses, {k - 1 for k in realised}
-
-
 def neighbour_masks(rows, n: int) -> list[list[int]]:
     """``neigh[v][c]``, the bitmask of the vertices w with colour(v, w) = c,
     for the colour matrix ``rows`` with n colours; v itself sits in colour
@@ -323,11 +295,28 @@ def verify(col: EdgeColouring, sig, level: Level) -> VerificationReport:
         raise ValueError(f"colouring has {col.n} colours, signature wants {sig.n}")
     surjective = len(col.used_colours()) == sig.n
     rows = colour_rows(col.m, col.colours)
-    forbidden_total, forbidden_witnesses, realized = triangle_scan(rows, sig)
+    # one pass over the triangles, in ``combinations`` order
+    table = triangle_table(sig)
+    m = col.m
+    forbidden_total, forbidden_witnesses, realised = 0, [], set()
+    for x in range(m):
+        row_x = rows[x]
+        for y in range(x + 1, m):
+            row_y = rows[y]
+            table_xy = table[row_x[y]]
+            for z in range(y + 1, m):
+                entry = table_xy[row_y[z]][row_x[z]]
+                if not entry:
+                    forbidden_total += 1
+                    if len(forbidden_witnesses) < MAX_WITNESSES:
+                        forbidden_witnesses.append(
+                            ((x, y, z), (row_x[y], row_y[z], row_x[z])))
+                elif entry not in realised:
+                    realised.add(entry)
     missing = []
     if level is not Level.FEEBLE:
-        missing = [t for k, t in enumerate(required_multisets(sig))
-                   if k not in realized]
+        missing = [t for k, t in enumerate(required_multisets(sig), 1)
+                   if k not in realised]
     strong_total, strong_failures = 0, []
     if level is Level.STRONG:
         for failure in unwitnessed(neighbour_masks(rows, sig.n),

@@ -31,55 +31,46 @@ lines within a block aside, iff their colourings are.
 
 from __future__ import annotations
 
-from collections import Counter, namedtuple
 from itertools import combinations
-from math import isqrt
+from math import comb, isqrt
 
 from .algebra import Signature, checked_tuple
-from .colouring import EdgeColouring, cayley, colour_rows, triangle_scan
+from .colouring import EdgeColouring, Level, cayley, colour_rows, verify
 
 
 class LinearSpace(checked_tuple("LinearSpace", "point_count blocks")):
     """Points 0..point_count-1 and ``blocks``, a tuple of parallel classes,
-    each a tuple of lines (frozensets of points)."""
+    each a tuple of lines (frozensets of points).  Building one checks that
+    lines have 2 or more points, lines of one block are disjoint and each
+    pair (i, j), i < j, lies on one line; ``ValueError`` names the witness,
+    line i of block b as (b, i)."""
 
     __slots__ = ()
 
     def __new__(cls, point_count, blocks):
         blocks = tuple(tuple(map(frozenset, block)) for block in blocks)
-        for block in blocks:
-            for line in block:
+        covered = set()  # the pairs on the lines so far
+        for b, block in enumerate(blocks):
+            points = set()  # the points on block b's lines so far
+            for i, line in enumerate(block):
                 if not all(0 <= p < point_count for p in line):
                     raise ValueError("line contains an unknown point")
+                if len(line) < 2:
+                    raise ValueError(f"line {(b, i)} has fewer than 2 points")
+                if line & points:
+                    j = next(j for j, other in enumerate(block)
+                             if other & line)
+                    raise ValueError(f"lines {(b, j)} and {(b, i)} meet")
+                points |= line
+                pairs = set(combinations(sorted(line), 2))
+                if twice := pairs & covered:
+                    raise ValueError(f"pair {min(twice)} lies on two lines")
+                covered |= pairs
+        if len(covered) < comb(point_count, 2):
+            pair = next(pair for pair in combinations(range(point_count), 2)
+                        if pair not in covered)
+            raise ValueError(f"pair {pair} lies on no line")
         return super().__new__(cls, point_count, blocks)
-
-
-SpaceReport = namedtuple("SpaceReport", "valid uncovered_pairs "
-                         "multi_covered_pairs short_lines crossing_lines",
-                         defaults=([], [], [], []))
-
-
-def validate_space(sp: LinearSpace) -> SpaceReport:
-    """Check the three linear-space axioms, and that the lines of each
-    block are disjoint, with witnesses; line i of block b is (b, i)."""
-    short, crossing = [], []
-    cover = Counter()  # lines through each pair
-    for b, block in enumerate(sp.blocks):
-        for i, line in enumerate(block):
-            if len(line) < 2:
-                short.append((b, i))
-            cover.update(combinations(sorted(line), 2))
-        crossing += [((b, i), (b, j))
-                     for (i, x), (j, y) in combinations(enumerate(block), 2)
-                     if x & y]
-    uncovered, multi = [], []
-    for pair in combinations(range(sp.point_count), 2):
-        if not cover[pair]:
-            uncovered.append(pair)
-        elif cover[pair] > 1:  # two lines through it meet twice
-            multi.append(pair)
-    return SpaceReport(not (uncovered or multi or short or crossing),
-                       uncovered, multi, short, crossing)
 
 
 def near_pencil(n: int) -> LinearSpace:
@@ -199,11 +190,6 @@ def drop_points(q: int, k: int) -> LinearSpace:
 
 def colouring_from_parallelism(sp: LinearSpace) -> EdgeColouring:
     """Colour each point pair by the block of its line (1-based)."""
-    _, *space_faults, crossing = validate_space(sp)
-    if any(space_faults):
-        raise ValueError("invalid linear space")
-    if crossing:
-        raise ValueError("invalid parallelism")
     colour = {pair: b + 1 for b, block in enumerate(sp.blocks)
               for line in block for pair in combinations(sorted(line), 2)}
     return EdgeColouring.from_function(sp.point_count, len(sp.blocks),
@@ -211,17 +197,16 @@ def colouring_from_parallelism(sp: LinearSpace) -> EdgeColouring:
 
 
 def linear_space_from_colouring(col: EdgeColouring) -> LinearSpace:
-    """Recover a linear space from a colouring with no dichromatic triangle.
+    """Recover a linear space from a feeble ``{1,3}`` colouring: one with
+    no dichromatic triangle that uses every colour.
 
     Each colour class is then a disjoint union of cliques; the cliques are
     the lines and the classes the parallel blocks.
     """
-    sig = Signature(frozenset({1, 3}), col.n)
+    report = verify(col, Signature(frozenset({1, 3}), col.n), Level.FEEBLE)
+    if not report.passed:
+        raise ValueError(f"colouring is no linear space: {report.summary()}")
     rows = colour_rows(col.m, col.colours)
-    if triangle_scan(rows, sig)[0]:
-        raise ValueError("colouring has a dichromatic triangle")
-    if len(col.used_colours()) != col.n:
-        raise ValueError("colouring does not use every colour")
     blocks = []
     for c in range(1, col.n + 1):
         block = []

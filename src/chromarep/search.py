@@ -303,12 +303,14 @@ def search(sig: Signature, level: Level, m_range=None,
     not searched, and ``complete_certificate`` is decided: it holds when
     the range starts at m <= 2.  Strong witnesses are not inherited by
     induced subgraphs, so the strong level has no restriction bound and
-    certifies only at a dead m.  An empty range or a negative budget
-    raises ValueError.
+    certifies only at a dead m.  An empty range, a vertex count below 1 or
+    a negative budget raises ValueError.
     """
     lo, hi = m_range if m_range is not None else default_m_range(sig)
     if lo > hi:
         raise ValueError(f"empty vertex range {lo}..{hi}")
+    if lo < 1:
+        raise ValueError(f"vertex count {lo} is below 1")
     budget = _Budget(node_budget)
     bound = None if level is Level.STRONG else restriction_bound(sig, level)
     per_m = []

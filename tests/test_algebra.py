@@ -10,8 +10,7 @@ from chromarep.algebra import (AtomStructure, Signature,
                                required_multisets, triangle_table)
 from chromarep.colouring import EdgeColouring, Level
 from chromarep.constructions import construct
-from chromarep.geometry import (LinearSpace, affine_plane,
-                                colouring_from_parallelism, validate_space)
+from chromarep.geometry import LinearSpace, affine_plane
 from chromarep.quasigroup import Quasigroup, standard_qn
 
 from helpers import ALL_S, sig
@@ -255,12 +254,10 @@ def test_value_types_store_lists_as_tuples():
     for value, again in ((st, listed), (plane, listed_plane), (q, listed_q)):
         assert again == value and hash(again) == hash(value)
     assert is_associative(listed) == is_associative(st) == (True, None)
-    assert validate_space(listed_plane) == validate_space(plane)
-    # a block of two list lines that meet is an invalid parallelism, not a
-    # TypeError
-    crossing = LinearSpace(3, [[[0, 1], [1, 2]], [[0, 2]]])
-    with pytest.raises(ValueError, match="invalid parallelism"):
-        colouring_from_parallelism(crossing)
+    # a block of two list lines that meet is a ValueError at construction,
+    # not a TypeError
+    with pytest.raises(ValueError, match=r"lines \(0, 0\) and \(0, 1\) meet"):
+        LinearSpace(3, [[[0, 1], [1, 2]], [[0, 2]]])
 
 
 def test_package_exports_resolve():

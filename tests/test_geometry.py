@@ -9,7 +9,7 @@ from chromarep.colouring import EdgeColouring, Level, verify
 from chromarep.geometry import (LinearSpace, _field_tables, affine_plane,
                                 colouring_from_parallelism, cyclotomic,
                                 drop_points, linear_space_from_colouring,
-                                near_pencil, prime_power, validate_space)
+                                near_pencil, prime_power)
 from chromarep.search import enumerate_representations
 
 from helpers import sig
@@ -42,52 +42,55 @@ def test_prime_power():
 def test_linear_space_rejects_unknown_points():
     with pytest.raises(ValueError):
         LinearSpace(3, ((frozenset({0, 5}),),))
+    with pytest.raises(ValueError, match="non-negative"):
+        LinearSpace(-1, ())
 
 
 def test_validate_space_affine_plane():
-    assert validate_space(affine_plane(3)).valid
+    # a LinearSpace checks its axioms when it is built
+    affine_plane(3)
 
 
 def test_validate_space_witnesses():
     # two lines sharing two points
-    sp = LinearSpace(4, ((frozenset({0, 1, 2}),), (frozenset({0, 1, 3}),),
-                         (frozenset({2, 3}),)))
-    report = validate_space(sp)
-    assert not report.valid
-    assert (0, 1) in report.multi_covered_pairs
-    # uncovered pair and short line
-    sp = LinearSpace(3, ((frozenset({0, 1}),), (frozenset({2}),)))
-    report = validate_space(sp)
-    assert (0, 2) in report.uncovered_pairs
-    assert report.short_lines == [(1, 0)]
+    with pytest.raises(ValueError, match=r"pair \(0, 1\) lies on two lines"):
+        LinearSpace(4, ((frozenset({0, 1, 2}),), (frozenset({0, 1, 3}),),
+                        (frozenset({2, 3}),)))
+    # an uncovered pair
+    with pytest.raises(ValueError, match=r"pair \(0, 2\) lies on no line"):
+        LinearSpace(3, [[{0, 1}], [{1, 2}]])
+    # a short line, named (block, index)
+    with pytest.raises(ValueError,
+                       match=r"line \(1, 0\) has fewer than 2 points"):
+        LinearSpace(3, ((frozenset({0, 1}),), (frozenset({2}),)))
 
 
-def crossed(space):
-    """AG(2, 2) with the second lines of blocks 0 and 1 swapped: block 0
-    then holds line 0 of slope 0 and line 1 of slope 1, which meet."""
+def crossed_blocks(space):
+    """AG(2, 2)'s blocks with the second lines of blocks 0 and 1 swapped:
+    block 0 then holds line 0 of slope 0 and line 1 of slope 1, which
+    meet."""
     (a, b), (c, d), verticals = space.blocks
-    return LinearSpace(space.point_count, ((a, d), (c, b), verticals))
+    return (a, d), (c, b), verticals
 
 
 def test_validate_parallelism_witnesses():
-    # the parallelism's witnesses: lines of one block that meet, named
-    # (block, index); the space itself stays a linear space
-    report = validate_space(crossed(affine_plane(2)))
-    assert not report.valid
-    assert report.crossing_lines == [((0, 0), (0, 1)), ((1, 0), (1, 1))]
-    assert not (report.uncovered_pairs or report.multi_covered_pairs
-                or report.short_lines)
+    # the parallelism's witness: lines of one block that meet, named
+    # (block, index); the lines themselves form a linear space
+    blocks = crossed_blocks(affine_plane(2))
+    with pytest.raises(ValueError, match=r"lines \(0, 0\) and \(0, 1\) meet"):
+        LinearSpace(4, blocks)
+    LinearSpace(4, [[line] for block in blocks for line in block])
 
 
 def test_ls5_rejects_non_parallelisms():
-    # crossing lines in one block are no parallelism, so there are no
-    # parallel classes to colour or check
-    with pytest.raises(ValueError, match="invalid parallelism"):
-        ls_axioms(crossed(affine_plane(2)))
-    # blocks that miss lines leave pairs uncovered: no linear space
+    # crossing lines in one block are no parallelism, and blocks that miss
+    # lines leave pairs uncovered; neither builds, so there are no parallel
+    # classes to colour or check
     sp = affine_plane(2)
-    with pytest.raises(ValueError, match="invalid linear space"):
-        ls_axioms(sp._replace(blocks=sp.blocks[:2]))
+    with pytest.raises(ValueError, match=r"lines \(0, 0\) and \(0, 1\) meet"):
+        sp._replace(blocks=crossed_blocks(sp))
+    with pytest.raises(ValueError, match=r"pair \(0, 1\) lies on no line"):
+        sp._replace(blocks=sp.blocks[:2])
 
 
 def test_ls4_ls5_affine_plane():
@@ -108,9 +111,7 @@ def test_near_pencil_shapes():
     assert sp.blocks == ((frozenset({1, 2}),), (frozenset({0, 1}),),
                          (frozenset({0, 2}),))
     assert len(near_pencil(4).blocks) == 4
-    sp = near_pencil(5)
-    assert validate_space(sp).valid
-    assert ls_axioms(sp)[1] == [1, 2, 3, 4]
+    assert ls_axioms(near_pencil(5))[1] == [1, 2, 3, 4]
     with pytest.raises(ValueError):
         near_pencil(2)
 
@@ -122,7 +123,6 @@ def test_affine_plane_counts():
         assert sp.point_count == p * p
         assert sum(map(len, sp.blocks)) == lines
         assert len(sp.blocks) == blocks
-        assert validate_space(sp).valid
     for q in (6, 12):
         with pytest.raises(ValueError):
             affine_plane(q)
@@ -183,7 +183,6 @@ def test_affine_plane_2_is_k4_matchings():
 def test_affine_plane_order4():
     sp = affine_plane(4)
     assert sp.point_count == 16
-    assert validate_space(sp).valid
     assert ls_axioms(sp) == (True, [], [])
     # reference: GF(4) written out by hand, addition xor on {0,1,2,3}
     mul = ((0, 0, 0, 0),
@@ -202,7 +201,6 @@ def test_drop_points_counts():
     assert sp.point_count == 8 and len(sp.blocks) == 5
     sp = drop_points(5, 3)
     assert sp.point_count == 22 and len(sp.blocks) == 9
-    assert validate_space(sp).valid
     for q in (3, 5, 7):
         for k in range(q - 1):
             assert len(drop_points(q, k).blocks) == q + k + 1
@@ -292,13 +290,12 @@ def test_drop_points_colouring_qualitative_order5():
 
 
 def test_colouring_from_parallelism_rejects_invalid():
-    with pytest.raises(ValueError):
-        colouring_from_parallelism(crossed(affine_plane(2)))
-    # pair {0, 1} lies on two lines: no linear space, so no colouring
-    sp = LinearSpace(3, ((frozenset({0, 1, 2}),), (frozenset({0, 1}),)))
-    for check in (colouring_from_parallelism, ls_axioms):
-        with pytest.raises(ValueError, match="invalid linear space"):
-            check(sp)
+    # no crossing parallelism and no pair on two lines builds, so every
+    # LinearSpace that reaches colouring_from_parallelism is valid
+    with pytest.raises(ValueError, match=r"lines \(0, 0\) and \(0, 1\) meet"):
+        LinearSpace(4, crossed_blocks(affine_plane(2)))
+    with pytest.raises(ValueError, match=r"pair \(0, 1\) lies on two lines"):
+        LinearSpace(3, ((frozenset({0, 1, 2}),), (frozenset({0, 1}),)))
 
 
 def test_space_round_trip_affine_plane():
@@ -337,8 +334,9 @@ def test_space_round_trip_enumerated_colourings():
 
 
 def test_linear_space_from_colouring_rejects_dichromatic():
-    col = EdgeColouring(3, 2, (1, 1, 2))
-    with pytest.raises(ValueError):
-        linear_space_from_colouring(col)
-    with pytest.raises(ValueError, match="does not use every colour"):
+    # the check is feeble {1,3}: its summary names the fault
+    with pytest.raises(ValueError,
+                       match=r"feeble: FAIL \(1 forbidden triangle\(s\)\)"):
+        linear_space_from_colouring(EdgeColouring(3, 2, (1, 1, 2)))
+    with pytest.raises(ValueError, match=r"feeble: FAIL \(not surjective\)"):
         linear_space_from_colouring(EdgeColouring(3, 2, (1, 1, 1)))

@@ -400,6 +400,10 @@ def test_too_small_k_m_visits_no_node():
 def test_search_rejects_empty_range_and_negative_budget():
     with pytest.raises(ValueError, match="empty vertex range 5..3"):
         search(sig((2,), 3), Level.QUALITATIVE, m_range=(5, 3))
+    with pytest.raises(ValueError, match="vertex count -3 is below 1"):
+        search(sig((1, 3), 2), Level.FEEBLE, m_range=(-3, 5))
+    with pytest.raises(ValueError, match="vertex count 0 is below 1"):
+        search(sig((1, 3), 2), Level.FEEBLE, m_range=(0, 0))
     with pytest.raises(ValueError, match="node budget must be >= 0, got -1"):
         _Budget(-1)
     with pytest.raises(ValueError, match="node budget"):
