@@ -41,9 +41,9 @@ from .colouring import EdgeColouring, Level, cayley, colour_rows, verify
 class LinearSpace(checked_tuple("LinearSpace", "point_count blocks")):
     """Points 0..point_count-1 and ``blocks``, a tuple of parallel classes,
     each a tuple of lines (frozensets of points).  Building one checks that
-    lines have 2 or more points, lines of one block are disjoint and each
-    pair (i, j), i < j, lies on one line; ``ValueError`` names the witness,
-    line i of block b as (b, i)."""
+    every block has a line, lines have 2 or more points, lines of one block
+    are disjoint and each pair (i, j), i < j, lies on one line;
+    ``ValueError`` names the witness, line i of block b as (b, i)."""
 
     __slots__ = ()
 
@@ -51,6 +51,8 @@ class LinearSpace(checked_tuple("LinearSpace", "point_count blocks")):
         blocks = tuple(tuple(map(frozenset, block)) for block in blocks)
         covered = set()  # the pairs on the lines so far
         for b, block in enumerate(blocks):
+            if not block:
+                raise ValueError(f"block {b} has no lines")
             points = set()  # the points on block b's lines so far
             for i, line in enumerate(block):
                 if not all(0 <= p < point_count for p in line):

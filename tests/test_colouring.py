@@ -1,5 +1,6 @@
 """Edge colourings, verification levels, canonical forms."""
 
+import hashlib
 import json
 import random
 import tracemalloc
@@ -594,6 +595,28 @@ def test_codes_contract():
         below = list(_codes(rows, bound))
         assert len(below) == (form != col.colours), col
         assert all(prefix < bound[:len(prefix)] for prefix in below), col
+
+
+def test_codes_yield_sequences_pinned():
+    # every code each search yields, in order, unbounded and under the
+    # colouring's own code: the intermediate codes decide how
+    # are_isomorphic advances its two searches
+    cols = [EdgeColouring(m, n, colours) for m, n in [(5, 2), (4, 3)]
+            for colours in product(range(1, n + 1), repeat=m * (m - 1) // 2)]
+    cols += [random2(m, s) for m in (10, 14, 18) for s in (0, 1, 2)]
+    unbounded, bounded = [], []
+    for col in cols:
+        rows = colour_rows(col.m, col.colours)
+        unbounded.append(list(_codes(rows)))
+        bound = [row[:k] for k, row in enumerate(rows)]
+        bounded.append(list(_codes(rows, bound)))
+    assert sum(map(len, unbounded)) == 3329
+    assert sum(map(len, bounded)) == 1729
+    digests = [hashlib.sha256(repr(seqs).encode()).hexdigest()
+               for seqs in (unbounded, bounded)]
+    assert digests == [
+        "83c10b88208c89d8a2d63fa63effcaa5b477b28332023ff9890338737a4c9bed",
+        "5b355c91e02747c5e34edb91eb816dd903ff063b9409ada71888623cbf81f702"]
 
 
 def test_are_isomorphic_resumes_searches_on_rigid_input(monkeypatch):

@@ -63,6 +63,9 @@ def test_validate_space_witnesses():
     with pytest.raises(ValueError,
                        match=r"line \(1, 0\) has fewer than 2 points"):
         LinearSpace(3, ((frozenset({0, 1}),), (frozenset({2}),)))
+    # a block with no lines, whose colour would go unused
+    with pytest.raises(ValueError, match="block 1 has no lines"):
+        LinearSpace(2, [[{0, 1}], []])
 
 
 def crossed_blocks(space):

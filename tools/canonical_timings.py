@@ -9,8 +9,8 @@ MEMORY_MB MB of address space, and the script prints one JSON object: per
 case the seconds of each ``canonical_form`` or ``are_isomorphic`` call,
 the process's peak RSS, or why it did not finish.  It exits 1 if any case
 failed, ran out of time or memory, gave different forms for its
-relabellings or a wrong isomorphism verdict, and 0 otherwise.  The
-``canonical_form`` cases:
+relabellings, a wrong isomorphism verdict or a wrong class count, and 0
+otherwise.  The ``canonical_form`` cases:
 
 - ``AG(2,q)`` for q = 5, 7: ``construct(Signature({1,3}, q+1), STRONG)``,
   as built and under seeded vertex and colour relabellings (the
@@ -37,6 +37,14 @@ The ``are_isomorphic`` cases, one call each:
   sizes; verdict False.  A False verdict runs one side's search to its
   end, so these cost ``are_isomorphic`` the most: up to a
   ``canonical_form`` of each side.
+
+The enumeration case, one call:
+
+- ``enumerate({1,2}, n=2, m=7)``: ``enumerate_representations`` of the
+  qualitative {1,2}, n=2 colourings of K_7, which must return 408 classes
+  and not be partial.  Its orderly search runs the minimality test on
+  every prefix K_3..K_7, so it times those prefix tests at sizes the
+  benchmark's m=5 enumeration never reaches.
 """
 
 from __future__ import annotations
@@ -63,9 +71,11 @@ ISOMORPHISM = {"are_isomorphic(random2(30))": ("random2(30)", 7),
                "are_isomorphic(AG(2,7))": ("AG(2,7)", 7),
                "are_isomorphic(random2(30), swap)": ("random2(30)", None),
                "are_isomorphic(AG(2,7), swap)": ("AG(2,7)", None)}
+ENUMERATION = "enumerate({1,2}, n=2, m=7)"
+ENUMERATION_CLASSES = 408
 CASES = ("AG(2,5)", "AG(2,7)", "single_colour(9)",
          *(f"cyclotomic({p})" for p in CYCLOTOMIC), "random2(30)",
-         *ISOMORPHISM)
+         *ISOMORPHISM, ENUMERATION)
 RELABELLINGS = {"AG(2,5)": 8, "AG(2,7)": 16}
 
 
@@ -127,6 +137,23 @@ def run_isomorphism(case):
                       "peak_rss_mb": peak_rss_mb()}))
 
 
+def run_enumeration(case):
+    """Child process: print the seconds of one enumeration."""
+    from chromarep.algebra import Signature
+    from chromarep.colouring import Level
+    from chromarep.search import enumerate_representations
+
+    sig = Signature(frozenset({1, 2}), 2)
+    start = time.perf_counter()
+    classes, partial = enumerate_representations(sig, Level.QUALITATIVE, 7)
+    seconds = round(time.perf_counter() - start, 4)
+    if partial or len(classes) != ENUMERATION_CLASSES:
+        raise SystemExit(f"{case}: {len(classes)} classes, partial "
+                         f"{partial}; want {ENUMERATION_CLASSES}, False")
+    print(json.dumps({"m": 7, "seconds": [seconds], "classes": len(classes),
+                      "peak_rss_mb": peak_rss_mb()}))
+
+
 def run_case(case):
     """Child process: print the seconds of each canonical_form call."""
     from chromarep.colouring import canonical_form
@@ -155,7 +182,9 @@ def main(argv=None):
     args = p.parse_args(argv)
     if args.case:
         sys.path[:0] = [args.src, str(ROOT / "tests")]
-        (run_isomorphism if args.case in ISOMORPHISM else run_case)(args.case)
+        run = (run_isomorphism if args.case in ISOMORPHISM
+               else run_enumeration if args.case == ENUMERATION else run_case)
+        run(args.case)
         return
     limit = MEMORY_MB * 2 ** 20
 
